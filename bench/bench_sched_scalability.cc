@@ -7,9 +7,9 @@
 // The EventReplay benchmarks measure the online loop itself: a scripted
 // stream of flow-finish / departure / arrival events at a steady number of
 // concurrent coflows, with one allocate() per event. "Incremental" drives
-// NC-DRF through its delta hooks (persistent per-coflow state, O(links
-// touched) updates); "FromScratch" forces a full snapshot rescan per
-// event. items_per_second in the JSON output is events/sec — the number
+// NC-DRF through its delta hooks (persistent per-coflow counts, O(links
+// touched) updates); "FromScratch" never calls on_reset(), so every event
+// rebuilds the counts from the snapshot. items_per_second in the JSON output is events/sec — the number
 // the CI bench-smoke job archives as the perf trajectory.
 #include <benchmark/benchmark.h>
 
@@ -115,8 +115,7 @@ void run_event_replay(benchmark::State& state, bool incremental) {
   Workbench bench(coflows, /*max_flows_per_coflow=*/64);
   const std::vector<ActiveCoflow> pristine = bench.input.coflows;
 
-  NcDrfScheduler scheduler(NcDrfOptions{
-      .incremental = incremental, .verify_incremental = false});
+  NcDrfScheduler scheduler;
   if (incremental) {
     scheduler.on_reset(bench.fabric);
     for (const ActiveCoflow& c : bench.input.coflows) {

@@ -48,6 +48,10 @@ class KernelScheduler : public Scheduler {
 
   const SchedPerf* perf_counters() const override { return &perf_; }
 
+  // The per-link flow-count state, read-only (tests audit it with
+  // LinkLoadState::check_consistent).
+  const LinkLoadState& link_state() const { return state_; }
+
  protected:
   explicit KernelScheduler(bool count_finished_flows)
       : state_(count_finished_flows) {}

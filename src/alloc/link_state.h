@@ -1,15 +1,18 @@
-// Persistent per-coflow per-link flow-count state shared by the baseline
-// schedulers (the allocation-kernel layer's answer to the dense
-// num_coflows × num_links matrices PS-P, HUG, Baraat, Aalo and FIFO used
-// to rebuild on every allocate() call).
+// Persistent per-coflow per-link flow-count state shared by NC-DRF and
+// the kernel-backed baselines (the allocation-kernel layer's answer to the
+// dense num_coflows × num_links matrices the policies used to rebuild on
+// every allocate() call).
 //
-// The state mirrors core/incremental's IncrementalNcDrfState but tracks
-// only integer quantities, so the incremental path is *exact*: a sequence
-// of delta updates always reproduces what a from-scratch rebuild of the
-// same snapshot would produce, bit for bit. Tracked per coflow k:
+// The state tracks only integer quantities, so the incremental path is
+// *exact*: a sequence of delta updates always reproduces what a
+// from-scratch rebuild of the same snapshot would produce, bit for bit.
+// Fractional quantities built on it (NC-DRF's n̄_k and load vectors) are
+// derived per call by their policy, so they cannot drift either. Tracked
+// per coflow k:
 //
 //   * counted[i] — flows of k on link i, including finished flows when
-//     `count_finished_flows` (PS-P's "stale" presence semantics);
+//     `count_finished_flows` (Algorithm 1's and PS-P's "stale"
+//     semantics): NC-DRF's n_k^i;
 //   * live[i]    — unfinished flows of k on link i (what HUG, Baraat,
 //     Aalo and FIFO divide by);
 //   * touched    — links where counted[i] ever became positive, so

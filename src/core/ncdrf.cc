@@ -6,9 +6,9 @@
 #include <limits>
 #include <vector>
 
+#include "alloc/even_split.h"
 #include "common/check.h"
 #include "obs/tracer.h"
-#include "sched/backfill.h"
 
 namespace ncdrf {
 namespace {
@@ -32,10 +32,29 @@ std::vector<int> coflow_link_counts(const Fabric& fabric,
   return counts;
 }
 
+// Adds the wall-clock of its scope to SchedPerf::backfill_seconds.
+class BackfillClock {
+ public:
+  explicit BackfillClock(SchedPerf& perf)
+      : perf_(perf), start_(std::chrono::steady_clock::now()) {}
+  ~BackfillClock() {
+    perf_.backfill_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count();
+  }
+  BackfillClock(const BackfillClock&) = delete;
+  BackfillClock& operator=(const BackfillClock&) = delete;
+
+ private:
+  SchedPerf& perf_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 }  // namespace
 
 NcDrfScheduler::NcDrfScheduler(NcDrfOptions options)
-    : options_(options), state_(options.count_finished_flows) {
+    : KernelScheduler(options.count_finished_flows), options_(options) {
   NCDRF_CHECK(options_.backfill_rounds >= 0,
               "backfill rounds must be non-negative");
 }
@@ -66,17 +85,12 @@ double NcDrfScheduler::flow_count_progress(const ScheduleInput& input,
   return std::isfinite(p_star) ? p_star : 0.0;
 }
 
-void NcDrfScheduler::on_reset(const Fabric& fabric) {
-  state_.reset(fabric);
-  event_driven_ = true;
-}
-
 void NcDrfScheduler::set_observers(obs::Tracer* tracer,
                                    obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  // Allocate latencies span sub-microsecond (incremental) to milliseconds
-  // (cold rebuilds at scale); the geometry keeps that whole range in ~160
-  // buckets at the default 10^(1/10) growth.
+  // Allocate latencies span sub-microsecond (small snapshots) to
+  // milliseconds (cold rebuilds at scale); the geometry keeps that whole
+  // range in ~160 buckets at the default 10^(1/10) growth.
   alloc_latency_ =
       metrics != nullptr
           ? &metrics->histogram("sched.allocate_latency_s", 1e-8, 10.0,
@@ -84,23 +98,33 @@ void NcDrfScheduler::set_observers(obs::Tracer* tracer,
           : nullptr;
 }
 
-void NcDrfScheduler::on_coflow_arrival(const ActiveCoflow& coflow) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched +=
-      static_cast<long long>(state_.add_coflow(coflow));
-  ++perf_.arrival_events;
-}
-
-void NcDrfScheduler::on_flow_finish(const ActiveFlow& flow) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched += static_cast<long long>(state_.finish_flow(flow));
-  ++perf_.flow_finish_events;
-}
-
-void NcDrfScheduler::on_coflow_departure(CoflowId id) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched += static_cast<long long>(state_.remove_coflow(id));
-  ++perf_.departure_events;
+void NcDrfScheduler::build_correlation(const ScheduleInput& input) {
+  const auto links = static_cast<std::size_t>(input.fabric->num_links());
+  load_.assign(links, 0.0);
+  usage_.assign(links, 0.0);
+  bottleneck_.clear();
+  for (const ActiveCoflow& coflow : input.coflows) {
+    // sync() has made the state cover every snapshot coflow.
+    const LinkLoadState::CoflowLoad& cs = *state_.find(coflow.id);
+    int n_bar = 0;
+    for (const LinkId l : cs.touched) {
+      n_bar = std::max(n_bar, cs.counted[static_cast<std::size_t>(l)]);
+    }
+    bottleneck_.push_back(n_bar);
+    if (n_bar == 0) continue;
+    for (const LinkId l : cs.touched) {
+      const auto i = static_cast<std::size_t>(l);
+      // Per-link division (not a precomputed w/n̄ factor) keeps load_
+      // bitwise identical to flow_count_progress's full-scan sum. Live
+      // counts equal counted ones unless flows finished under stale
+      // counting, so the second division is usually the first.
+      const double counted = cs.weight * cs.counted[i] / n_bar;
+      load_[i] += counted;
+      usage_[i] += cs.live[i] == cs.counted[i]
+                       ? counted
+                       : cs.weight * cs.live[i] / n_bar;
+    }
+  }
 }
 
 Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
@@ -110,26 +134,20 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   ++perf_.allocate_calls;
   Allocation alloc;
 
-  // Serve from the event-maintained state when it provably covers the
-  // snapshot; otherwise adopt the snapshot with a full O(K·(F+L)) rebuild
-  // (single pass — counts and bottlenecks are computed once and reused for
-  // both P̂* and the per-coflow rates).
-  const bool synced = options_.incremental && event_driven_ &&
-                      state_.matches(input);
+  [[maybe_unused]] const bool rebuilt = sync(input);
+#ifndef NDEBUG
+  if (!rebuilt) {
+    state_.check_consistent(input);
+    ++perf_.consistency_checks;
+  }
+#endif
   NCDRF_TRACE_SPAN(tracer_, obs::EventKind::kNcDrfAlloc, input.now,
-                   synced ? 1 : 0,
+                   rebuilt ? 0 : 1,
                    static_cast<std::int64_t>(input.coflows.size()));
-  if (synced) {
-    ++perf_.incremental_allocs;
-    if (options_.verify_incremental) {
-      state_.check_consistent(input);
-      ++perf_.consistency_checks;
-    }
-  } else {
+  {
     NCDRF_TRACE_SPAN(tracer_, obs::EventKind::kCorrelationBuild, input.now,
                      static_cast<std::int64_t>(input.coflows.size()));
-    state_.rebuild(input);
-    ++perf_.full_rebuilds;
+    build_correlation(input);
   }
 
 #if NCDRF_TRACE_ENABLED
@@ -137,8 +155,19 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
     tracer_->begin(obs::EventKind::kPStarSearch, input.now);
   }
 #endif
-  LinkId bottleneck_link = -1;
-  const double p_star = state_.p_star(bottleneck_link);
+  // P̂* = min_i C_i / load_i over loaded links (Algorithm 1 line 9), and
+  // its arg-min link for the trace.
+  const Fabric& fabric = *input.fabric;
+  double p_star = std::numeric_limits<double>::infinity();
+  [[maybe_unused]] LinkId bottleneck_link = -1;
+  for (LinkId i = 0; i < fabric.num_links(); ++i) {
+    const double load = load_[static_cast<std::size_t>(i)];
+    if (load > 0.0 && fabric.capacity(i) / load < p_star) {
+      p_star = fabric.capacity(i) / load;
+      bottleneck_link = i;
+    }
+  }
+  if (!std::isfinite(p_star)) p_star = 0.0;
 #if NCDRF_TRACE_ENABLED
   if (tracer_ != nullptr) {
     tracer_->end(obs::EventKind::kPStarSearch, input.now, bottleneck_link,
@@ -148,48 +177,37 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   if (p_star <= 0.0) return alloc;
 
   // Backfilling round one needs only O(L) state available before any flow
-  // is touched: residual_i = C_i − P̂*·Σ_k (w_k/n̄_k)·live_k^i (from the
-  // tracked vectors, no usage rescan), divided evenly among each link's
-  // live flows. Converting residual_ into the per-link share vector here
+  // is touched: residual_i = C_i − P̂*·usage_i, divided evenly among each
+  // link's live flows. Converting it to the per-link share vector here
   // lets the base DRF rate and the first backfill round land in a single
   // O(flows) pass below — set_rate(r_k + w) is bitwise identical to
   // set_rate(r_k) followed by add_rate(w).
-  const Fabric& fabric = *input.fabric;
   bool any_spare = false;
   const bool backfilling =
       options_.work_conserving && options_.backfill_rounds > 0;
-  // The fused first round rides the base-rate pass below, so its flow loop
-  // is not separable; the timer covers the residual prep and the extra
-  // rounds, which is where the backfill-specific work lives.
-  std::chrono::steady_clock::time_point backfill_start;
   if (backfilling) {
 #if NCDRF_TRACE_ENABLED
     if (tracer_ != nullptr) {
       tracer_->begin(obs::EventKind::kBackfill, input.now);
     }
 #endif
-    backfill_start = std::chrono::steady_clock::now();
-    state_.residual_capacity(p_star, residual_);
-    const std::vector<int>& counts = state_.live_link_counts();
+    const BackfillClock clock(perf_);
+    residual_.resize(load_.size());
     for (LinkId i = 0; i < fabric.num_links(); ++i) {
       const auto idx = static_cast<std::size_t>(i);
-      const double unused = std::max(residual_[idx], 0.0);
-      if (counts[idx] > 0 && unused > 0.0) {
-        residual_[idx] = unused / counts[idx];
-        any_spare = true;
-      } else {
-        residual_[idx] = 0.0;
-      }
+      residual_[idx] = fabric.capacity(i) - p_star * usage_[idx];
     }
+    any_spare = even_split_shares(state_.live_link_counts(), residual_);
   }
 
   // Algorithm 1 lines 10-15: every flow of coflow k runs at
   // r_k = w_k · P̂*/n̄_k, so the coflow's aggregate on link i is
   // w_k · ĉ_k^i · P̂* (weights default to 1, recovering the paper's form).
   alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
-  for (const ActiveCoflow& coflow : input.coflows) {
+  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
+    const ActiveCoflow& coflow = input.coflows[k];
     if (coflow.flows.empty()) continue;
-    const double r_k = state_.rate_bps(coflow.id, p_star);
+    const double r_k = coflow.weight * p_star / bottleneck_[k];
     if (any_spare) {
       for (const ActiveFlow& f : coflow.flows) {
         const double w = std::min(
@@ -202,25 +220,17 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
     }
   }
 
-  // Rounds beyond the first work from actual usage, exactly as
-  // even_backfill_cached's later rounds do (ablation configs only).
+  // Rounds beyond the first work from actual usage (ablation configs
+  // only).
   int rounds_done = any_spare ? 1 : 0;
   if (any_spare && options_.backfill_rounds > 1) {
-    link_usage(input, alloc, residual_);
-    for (LinkId i = 0; i < fabric.num_links(); ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      residual_[idx] = fabric.capacity(i) - residual_[idx];
-    }
-    rounds_done +=
-        even_backfill_cached(input, alloc, options_.backfill_rounds - 1,
-                             state_.live_link_counts(), residual_);
+    const BackfillClock clock(perf_);
+    rounds_done += even_split_backfill(input, alloc,
+                                       options_.backfill_rounds - 1,
+                                       state_.live_link_counts(), residual_);
   }
   if (backfilling) {
     perf_.backfill_rounds += rounds_done;
-    perf_.backfill_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      backfill_start)
-            .count();
 #if NCDRF_TRACE_ENABLED
     if (tracer_ != nullptr) {
       tracer_->end(obs::EventKind::kBackfill, input.now, rounds_done);

@@ -27,27 +27,21 @@
 // Online operation (NC-DRFOnline): the driver re-invokes allocate() on
 // every coflow arrival/departure — and, in this implementation, on every
 // flow completion, since finished flows leave the active snapshot and
-// change the observable flow counts. With the default incremental engine
-// the scheduler additionally asks event-driven drivers for delta
-// notifications (Scheduler::wants_events) and serves each allocate() from
-// persistent per-coflow state (IncrementalNcDrfState) instead of rescanning
-// the snapshot — O(links + flows) per event instead of O(K·(F+L)).
+// change the observable flow counts. The integer counts n_k^i and the
+// per-link live totals live in the kernel layer's LinkLoadState, kept in
+// sync by the driver's event hooks (KernelScheduler); a scheduler that
+// never gets on_reset() rebuilds that state from every snapshot instead,
+// with bitwise-identical results. Everything fractional (n̄_k, the load
+// and usage vectors, P̂*) is derived afresh on each call, so nothing
+// drifts between events.
 #pragma once
 
-#include "core/incremental.h"
+#include <vector>
+
+#include "alloc/kernel_scheduler.h"
 #include "obs/perf.h"
-#include "sched/scheduler.h"
 
 namespace ncdrf {
-
-// Default for NcDrfOptions::verify_incremental: cross-check the
-// incremental state against a full recompute on every event-driven
-// allocate in Debug builds; stay out of the hot path in optimized ones.
-#ifdef NDEBUG
-inline constexpr bool kVerifyIncrementalDefault = false;
-#else
-inline constexpr bool kVerifyIncrementalDefault = true;
-#endif
 
 struct NcDrfOptions {
   // Backfilling ("Retaining Work Conservation", Sec. IV-B). One round is
@@ -71,25 +65,9 @@ struct NcDrfOptions {
   // question about shrinking the isolation ratio; available from the
   // registry as "ncdrf-live". bench_ablation_counting quantifies the gap.
   bool count_finished_flows = true;
-
-  // Event-driven incremental engine. When true the scheduler accepts delta
-  // notifications (on_coflow_arrival / on_flow_finish /
-  // on_coflow_departure) and keeps the per-link count vectors, bottlenecks
-  // and the global load vector as persistent state, updated in O(links
-  // touched) per event. allocate() falls back to a full snapshot rebuild
-  // whenever the tracked state does not cover the input (e.g. drivers that
-  // never deliver events), so this flag changes cost, never results beyond
-  // last-ulp rounding. "ncdrf-scratch" in the registry pins it off for
-  // A/B measurement.
-  bool incremental = true;
-
-  // Cross-check every incremental allocate() against a from-scratch
-  // recompute (integers exactly, doubles within 1e-9 relative) via
-  // NCDRF_CHECK. Defaults on in Debug builds, off in optimized builds.
-  bool verify_incremental = kVerifyIncrementalDefault;
 };
 
-class NcDrfScheduler : public Scheduler {
+class NcDrfScheduler : public KernelScheduler {
  public:
   explicit NcDrfScheduler(NcDrfOptions options = {});
 
@@ -99,17 +77,11 @@ class NcDrfScheduler : public Scheduler {
   bool clairvoyant() const override { return false; }
 
   // Algorithm 1's allocBandwidth + backfilling for one snapshot. The
-  // online procedure is this function re-run at every arrival/departure;
-  // with delta notifications it reuses the incrementally maintained state,
-  // otherwise it rebuilds from the snapshot (the from-scratch path).
+  // online procedure is this function re-run at every arrival/departure.
+  // Debug builds audit the event-maintained counts against a rebuild of
+  // the snapshot (LinkLoadState::check_consistent) on every call they
+  // serve.
   Allocation allocate(const ScheduleInput& input) override;
-
-  // Event-driven interface: deltas keep IncrementalNcDrfState in sync.
-  bool wants_events() const override { return options_.incremental; }
-  void on_reset(const Fabric& fabric) override;
-  void on_coflow_arrival(const ActiveCoflow& coflow) override;
-  void on_flow_finish(const ActiveFlow& flow) override;
-  void on_coflow_departure(CoflowId id) override;
 
   // P̂* (Eq. 5) for a snapshot, generalized to per-link capacities:
   // P̂* = min_i C_i / Σ_k ĉ_k^i. The from-scratch reference implementation,
@@ -120,7 +92,6 @@ class NcDrfScheduler : public Scheduler {
   // Perf counters accumulated since construction; callers may reset().
   const SchedPerf& perf() const { return perf_; }
   SchedPerf& perf() { return perf_; }
-  const SchedPerf* perf_counters() const override { return &perf_; }
 
   // Observability: allocate() emits nested spans (ncdrf_alloc →
   // correlation_build / p_star_search / backfill) to `tracer` and feeds
@@ -129,13 +100,16 @@ class NcDrfScheduler : public Scheduler {
                      obs::MetricsRegistry* metrics) override;
 
  private:
+  // Algorithm 1 lines 3-8 from the synced counts, in snapshot coflow
+  // order: n̄_k into bottleneck_, Σ_k w_k·counted_k^i/n̄_k into load_ and
+  // Σ_k w_k·live_k^i/n̄_k into usage_.
+  void build_correlation(const ScheduleInput& input);
+
   NcDrfOptions options_;
-  IncrementalNcDrfState state_;
-  // True once a driver committed to delta delivery (on_reset); until then
-  // every allocate() rebuilds, preserving pre-incremental behaviour.
-  bool event_driven_ = false;
-  std::vector<double> residual_;  // scratch for the backfilling budget
-  SchedPerf perf_;
+  std::vector<int> bottleneck_;  // n̄_k, index-aligned with input.coflows
+  std::vector<double> load_;     // the DRF load vector behind P̂* (Eq. 5)
+  std::vector<double> usage_;    // × P̂* = link usage of the DRF stage
+  std::vector<double> residual_;  // backfilling budget, then shares
   obs::Tracer* tracer_ = nullptr;
   obs::Histogram* alloc_latency_ = nullptr;
 };

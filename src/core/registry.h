@@ -24,11 +24,12 @@ namespace ncdrf {
 //   "varys"       SEBF+MADD (clairvoyant performance-optimal)
 //   "fifo"        Orchestra-style FIFO
 //   "baraat"      FIFO-LM (decentralized task-aware)
+//   "karma"       per-tenant max-min with donor/borrower credits
 //
 // Any kernel-backed name takes an optional "@N" suffix ("drf@4",
 // "fifo@8") selecting the sharded execution path with N link shards —
 // shorthand for the SchedulerOptions overload below. The ncdrf* policies
-// run the incremental core engine and accept only N == 1.
+// and karma have no sharded path and accept only N == 1.
 // Throws CheckError on an unknown name.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 

@@ -5,10 +5,9 @@
 //
 // The online loop recomputes the allocation on every coflow event, so
 // allocation cost bounds how fast a cluster can churn coflows. These
-// counters separate the two cost regimes of the incremental NC-DRF engine
+// counters separate the two cost regimes of the event-driven schedulers
 // (full snapshot rescans vs O(links touched) delta updates), split out the
-// backfilling stage (a full extra pass over the active flows per
-// allocate), and accumulate wall-clock time inside allocate() via
+// backfilling stage, and accumulate wall-clock time inside allocate() via
 // std::chrono::steady_clock — cheap enough to stay on in production
 // builds (two clock reads per allocate).
 //
@@ -38,14 +37,17 @@ struct SchedPerf {
   long long departure_events = 0;
 
   // Per-link state updates applied by delta notifications — the work the
-  // incremental engine does *instead of* full rescans.
+  // event-driven path does *instead of* full rescans.
   long long links_touched = 0;
 
-  // Debug cross-checks (incremental state vs full recompute) that ran.
+  // Debug cross-checks (event-maintained state vs a rebuild) that ran.
   long long consistency_checks = 0;
 
   // Work-conservation stage: rounds actually executed (a round that finds
-  // no spare capacity is not counted) and the wall-clock they took.
+  // no spare capacity is not counted) and the wall-clock of the
+  // backfill-only work. For NC-DRF that is the residual→share prep and
+  // rounds ≥ 2; round one's per-flow adds ride the base-rate pass and are
+  // not in it.
   long long backfill_rounds = 0;
   double backfill_seconds = 0.0;
 

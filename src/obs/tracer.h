@@ -38,7 +38,7 @@ enum class EventKind : std::uint8_t {
   kCoflowFinish,       // instant: a0=coflow, d0=cct_s
   kAllocate,           // span: one scheduler allocate(); a0=active_coflows
   kNcDrfAlloc,         // span: NC-DRF core; a0=1 incremental, 0 rebuild
-  kCorrelationBuild,   // span: from-scratch count-vector rebuild
+  kCorrelationBuild,   // span: n̄_k and load/usage vectors from the counts
   kPStarSearch,        // span: Eq. 5 bottleneck search; a0=link, d0=p_star
   kBackfill,           // span: work-conservation stage; a0=rounds
   kBackfillRound,      // instant: a0=round index

@@ -84,7 +84,8 @@ inline int assign_dense_ids(std::vector<std::vector<serve::Submission>>& per_cli
   }
   std::sort(order.begin(), order.end(), [](const Slot& a, const Slot& b) {
     if (a.time != b.time) return a.time < b.time;
-    return a.client < b.client;  // per-client indices already time-ordered
+    if (a.client != b.client) return a.client < b.client;
+    return a.index < b.index;  // same-instant submissions keep stream order
   });
   CoflowId next_coflow = 0;
   FlowId next_flow = 0;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/check.h"
-#include "sched/backfill.h"
 
 namespace ncdrf {
 
@@ -22,11 +21,7 @@ Allocation DrfScheduler::allocate(const ScheduleInput& input) {
   perf_.allocate_calls += 1;
   Allocation alloc;
   cache_.refresh(input, runtime_.get());
-  const double p_star = drf_allocate(input, cache_, runtime_.get(), alloc);
-  if (p_star > 0.0 && options_.work_conserving) {
-    perf_.backfill_rounds += options_.backfill_rounds;
-    even_backfill(input, alloc, options_.backfill_rounds);
-  }
+  drf_allocate(input, cache_, runtime_.get(), alloc);
   if (runtime_ != nullptr) runtime_->drain_timers(perf_);
   perf_.allocate_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -23,18 +23,10 @@
 
 namespace ncdrf {
 
-struct DrfOptions {
-  // The paper's DRF baseline is the non-work-conserving first stage of
-  // HUG; enable backfilling only for ablations.
-  bool work_conserving = false;
-  int backfill_rounds = 1;
-};
-
 class DrfScheduler : public Scheduler {
  public:
-  explicit DrfScheduler(DrfOptions options = {},
-                        SchedulerOptions sched_options = {})
-      : options_(options), runtime_(ShardRuntime::create(sched_options)) {}
+  explicit DrfScheduler(SchedulerOptions sched_options = {})
+      : runtime_(ShardRuntime::create(sched_options)) {}
 
   std::string name() const override { return "DRF"; }
   bool clairvoyant() const override { return true; }
@@ -47,7 +39,6 @@ class DrfScheduler : public Scheduler {
   static double optimal_progress(const ScheduleInput& input);
 
  private:
-  DrfOptions options_;
   DemandCache cache_;
   std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
   SchedPerf perf_;

@@ -4,7 +4,8 @@
 // bare snapshots AND through the event-driven incremental path, across
 // hundreds of seeded random instances. The NC-DRF family — which has no
 // legacy twin in alloc/ — is cross-checked against its own from-scratch
-// variant ("ncdrf-scratch" / NcDrfOptions{.incremental = false}).
+// twin: the same scheduler never given on_reset(), which rebuilds its
+// counts from every snapshot.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -219,15 +220,17 @@ TEST(AllocGoldenTest, EventDrivenMatchesLegacyForEveryPolicy) {
   }
 }
 
-// The persistent priority-queue state (PriorityOrder) must make the
-// event-driven path *exactly* the rebuild-every-call path: same order,
+// The persistent priority-queue state (PriorityOrder) and the per-link
+// count state NC-DRF runs on (LinkLoadState) must make the event-driven
+// path *exactly* the rebuild-every-call path: same order, same counts,
 // same fill, bitwise-identical rates. 50 seeded churn instances per
-// priority policy (200 total) with arrivals, finishes, departures and
-// attained-service drift (Aalo queue promotions), cross-checked every
-// step; the tracked order is additionally audited against the fresh-sort
-// oracle (check_consistent) after each resolve.
+// policy with arrivals, finishes, departures and attained-service drift
+// (Aalo queue promotions), cross-checked every step; the tracked order is
+// additionally audited against the fresh-sort oracle and the tracked
+// counts against a rebuild (check_consistent) after each resolve.
 TEST(AllocGoldenTest, PriorityQueueChurnMatchesRebuildBitwise) {
-  const std::vector<std::string> names = {"aalo", "baraat", "fifo", "varys"};
+  const std::vector<std::string> names = {"aalo",  "baraat", "fifo",
+                                          "varys", "ncdrf",  "ncdrf-live"};
   constexpr int kChurnSeeds = 50;
   for (const std::string& name : names) {
     for (int seed = 0; seed < kChurnSeeds; ++seed) {
@@ -246,6 +249,7 @@ TEST(AllocGoldenTest, PriorityQueueChurnMatchesRebuildBitwise) {
       auto* aalo = dynamic_cast<AaloScheduler*>(incremental.get());
       auto* baraat = dynamic_cast<BaraatScheduler*>(incremental.get());
       auto* fifo = dynamic_cast<FifoScheduler*>(incremental.get());
+      auto* ncdrf = dynamic_cast<NcDrfScheduler*>(incremental.get());
       const auto audit_order = [&]() {
         // After allocate()'s resolve the tracked buckets are current, so
         // the maintained order must equal a fresh sort of the snapshot.
@@ -263,6 +267,9 @@ TEST(AllocGoldenTest, PriorityQueueChurnMatchesRebuildBitwise) {
         if (fifo != nullptr) {
           fifo->priority_order().check_consistent(world.input(),
                                                   zero_bucket);
+        }
+        if (ncdrf != nullptr) {
+          ncdrf->link_state().check_consistent(world.input());
         }
       };
       for (int step = 0; step < kEventSteps && !world.empty(); ++step) {
@@ -301,22 +308,21 @@ TEST(AllocGoldenTest, NcDrfFamilyMatchesFromScratchTwin) {
   for (int seed = 0; seed < kBareSeeds; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 2221u + 5u);
     GoldenWorld world(rng);
-    {
-      auto incremental = make_scheduler("ncdrf");
-      auto scratch = make_scheduler("ncdrf-scratch");
+    for (const std::string name : {"ncdrf", "ncdrf-live"}) {
+      // One scheduler learns the snapshot through the event hooks; its
+      // twin never gets on_reset() and rebuilds from the snapshot.
+      auto events = make_scheduler(name);
+      auto scratch = make_scheduler(name);
+      events->on_reset(world.fabric());
+      for (const ActiveCoflow& view : world.input().coflows) {
+        events->on_coflow_arrival(view);
+      }
       expect_allocations_match(
-          world.input(), incremental->allocate(world.input()),
+          world.input(), events->allocate(world.input()),
           scratch->allocate(world.input()),
-          "ncdrf vs ncdrf-scratch seed " + std::to_string(seed));
-    }
-    {
-      auto live = make_scheduler("ncdrf-live");
-      NcDrfScheduler live_scratch(NcDrfOptions{
-          .count_finished_flows = false, .incremental = false});
-      expect_allocations_match(
-          world.input(), live->allocate(world.input()),
-          live_scratch.allocate(world.input()),
-          "ncdrf-live vs scratch twin seed " + std::to_string(seed));
+          name + " vs scratch twin seed " + std::to_string(seed));
+      EXPECT_EQ(events->perf_counters()->full_rebuilds, 0) << name;
+      EXPECT_EQ(scratch->perf_counters()->incremental_allocs, 0) << name;
     }
   }
 }

@@ -1,14 +1,16 @@
-// Randomized properties of the incremental NC-DRF allocation engine:
+// Randomized properties of NC-DRF's event-driven path (the kernel
+// layer's LinkLoadState fed by the delta hooks):
 //   - event-sequence equivalence: driving the scheduler through its delta
 //     hooks (arrival / flow finish / departure) yields the same allocation
-//     as a from-scratch allocate() at every step, in both counting modes,
-//     with and without backfilling, on heterogeneous fabrics;
-//   - full-simulation equivalence: "ncdrf" (incremental) and
-//     "ncdrf-scratch" replay identical traces to identical CCTs and event
+//     as a scheduler that never gets on_reset() and so rebuilds from every
+//     snapshot, in both counting modes, with and without backfilling, on
+//     heterogeneous fabrics;
+//   - full-simulation equivalence: event-driven "ncdrf" and its bare-
+//     snapshot twin replay identical traces to identical CCTs and event
 //     counts;
-//   - the debug consistency check (incremental state == recompute_full
-//     within 1e-9) stays silent across simulated churn;
-//   - the cached backfill variant matches the rescanning one bitwise;
+//   - the tracked counts equal a rebuild of the snapshot
+//     (LinkLoadState::check_consistent) after every allocate, across
+//     simulated churn;
 //   - perf counters add up and export as JSON.
 #include <gtest/gtest.h>
 
@@ -18,7 +20,6 @@
 #include "common/units.h"
 #include "core/ncdrf.h"
 #include "metrics/export.h"
-#include "sched/backfill.h"
 #include "sim/sim.h"
 #include "trace/synthetic_fb.h"
 #include "trace/trace.h"
@@ -80,6 +81,56 @@ void expect_rates_match(const ScheduleInput& input, const Allocation& got,
   }
 }
 
+// Forwards allocate() and hides the event interface: simulate() then never
+// calls on_reset(), so the wrapped scheduler rebuilds its counts from
+// every snapshot — the from-scratch twin.
+class BareSnapshots : public Scheduler {
+ public:
+  explicit BareSnapshots(Scheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  bool clairvoyant() const override { return inner_.clairvoyant(); }
+  Allocation allocate(const ScheduleInput& input) override {
+    return inner_.allocate(input);
+  }
+
+ private:
+  Scheduler& inner_;
+};
+
+// Forwards everything and, after each allocate(), audits the wrapped
+// scheduler's event-maintained counts against a rebuild of the snapshot.
+class AuditedNcDrf : public Scheduler {
+ public:
+  explicit AuditedNcDrf(NcDrfScheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  bool clairvoyant() const override { return inner_.clairvoyant(); }
+  Allocation allocate(const ScheduleInput& input) override {
+    Allocation alloc = inner_.allocate(input);
+    inner_.link_state().check_consistent(input);
+    ++audits;
+    return alloc;
+  }
+  const SchedPerf* perf_counters() const override {
+    return inner_.perf_counters();
+  }
+  bool wants_events() const override { return true; }
+  void on_reset(const Fabric& fabric) override { inner_.on_reset(fabric); }
+  void on_coflow_arrival(const ActiveCoflow& coflow) override {
+    inner_.on_coflow_arrival(coflow);
+  }
+  void on_flow_finish(const ActiveFlow& flow) override {
+    inner_.on_flow_finish(flow);
+  }
+  void on_coflow_departure(CoflowId id) override {
+    inner_.on_coflow_departure(id);
+  }
+
+  long long audits = 0;
+
+ private:
+  NcDrfScheduler& inner_;
+};
+
 struct ModeParams {
   bool count_finished_flows;
   bool work_conserving;
@@ -100,15 +151,10 @@ TEST_P(IncrementalEventEquivalence, MatchesFromScratchAtEveryEvent) {
   const int machines = 6;
   const Fabric fabric = random_fabric(rng, machines);
 
-  NcDrfScheduler incremental(
-      NcDrfOptions{.work_conserving = m.work_conserving,
-                   .count_finished_flows = m.count_finished_flows,
-                   .incremental = true,
-                   .verify_incremental = true});
-  NcDrfScheduler scratch(
-      NcDrfOptions{.work_conserving = m.work_conserving,
-                   .count_finished_flows = m.count_finished_flows,
-                   .incremental = false});
+  const NcDrfOptions options{.work_conserving = m.work_conserving,
+                             .count_finished_flows = m.count_finished_flows};
+  NcDrfScheduler incremental(options);
+  NcDrfScheduler scratch(options);  // never reset: rebuilds every call
 
   ScheduleInput input;
   input.fabric = &fabric;
@@ -116,6 +162,7 @@ TEST_P(IncrementalEventEquivalence, MatchesFromScratchAtEveryEvent) {
 
   FlowId next_flow = 0;
   CoflowId next_coflow = 0;
+  long long checks = 0;
   for (int event = 0; event < 160; ++event) {
     const int kind = input.coflows.empty()
                          ? 0
@@ -154,14 +201,15 @@ TEST_P(IncrementalEventEquivalence, MatchesFromScratchAtEveryEvent) {
     const Allocation inc = incremental.allocate(input);
     const Allocation ref = scratch.allocate(input);
     expect_rates_match(input, inc, ref);
+    incremental.link_state().check_consistent(input);
+    ++checks;
   }
   // Every allocate after the first hooks must have been served
   // incrementally (the consistency check ran on each).
   EXPECT_EQ(incremental.perf().full_rebuilds, 0);
   EXPECT_EQ(incremental.perf().incremental_allocs,
             incremental.perf().allocate_calls);
-  EXPECT_EQ(incremental.perf().consistency_checks,
-            incremental.perf().allocate_calls);
+  EXPECT_EQ(checks, incremental.perf().allocate_calls);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -176,10 +224,12 @@ TEST_P(IncrementalSimulationProperty, MatchesFromScratchOverFullRuns) {
   const Fabric fabric = random_fabric(rng, 8);
   const Trace trace = random_online_trace(rng, 8, 14);
 
-  NcDrfScheduler incremental(NcDrfOptions{.verify_incremental = true});
-  NcDrfScheduler scratch(NcDrfOptions{.incremental = false});
-  const RunResult run_inc = simulate(fabric, trace, incremental);
-  const RunResult run_ref = simulate(fabric, trace, scratch);
+  NcDrfScheduler incremental;
+  NcDrfScheduler scratch;
+  AuditedNcDrf audited(incremental);
+  BareSnapshots bare(scratch);
+  const RunResult run_inc = simulate(fabric, trace, audited);
+  const RunResult run_ref = simulate(fabric, trace, bare);
 
   ASSERT_EQ(run_inc.coflows.size(), run_ref.coflows.size());
   EXPECT_EQ(run_inc.num_events, run_ref.num_events);
@@ -193,6 +243,7 @@ TEST_P(IncrementalSimulationProperty, MatchesFromScratchOverFullRuns) {
   EXPECT_GT(incremental.perf().incremental_allocs, 0);
   EXPECT_EQ(incremental.perf().full_rebuilds, 0);
   EXPECT_EQ(incremental.perf().allocate_calls, run_inc.num_allocations);
+  EXPECT_EQ(audited.audits, run_inc.num_allocations);
   EXPECT_GT(incremental.perf().events(), 0);
   EXPECT_EQ(scratch.perf().incremental_allocs, 0);
   EXPECT_EQ(scratch.perf().full_rebuilds, run_ref.num_allocations);
@@ -202,8 +253,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSimulationProperty,
                          ::testing::Range(0, 10));
 
 TEST(IncrementalSimulation, ConsistencyHoldsOnFbTwinChurn) {
-  // A slice of the FB-like workload with verification forced on: every
-  // event-driven allocate cross-checks state against recompute_full().
+  // A slice of the FB-like workload, audited: every event-driven allocate
+  // cross-checks the tracked counts against a rebuild of the snapshot.
   SyntheticFbOptions options;
   options.num_coflows = 80;
   options.duration_s = 30.0;
@@ -212,14 +263,12 @@ TEST(IncrementalSimulation, ConsistencyHoldsOnFbTwinChurn) {
   const Fabric fabric(options.num_racks, gbps(1.0));
 
   for (const bool stale : {true, false}) {
-    NcDrfScheduler scheduler(
-        NcDrfOptions{.count_finished_flows = stale,
-                     .verify_incremental = true});
-    const RunResult run = simulate(fabric, trace, scheduler);
+    NcDrfScheduler scheduler(NcDrfOptions{.count_finished_flows = stale});
+    AuditedNcDrf audited(scheduler);
+    const RunResult run = simulate(fabric, trace, audited);
     EXPECT_NEAR(run.total_bits_delivered, trace.total_bits(),
                 trace.total_bits() * 1e-6);
-    EXPECT_EQ(scheduler.perf().consistency_checks,
-              scheduler.perf().incremental_allocs);
+    EXPECT_EQ(audited.audits, scheduler.perf().incremental_allocs);
     EXPECT_GT(scheduler.perf().links_touched, 0);
   }
 }
@@ -244,44 +293,6 @@ TEST(IncrementalState, FallsBackWhenSnapshotDiverges) {
   EXPECT_GT(alloc.rate(1), 0.0);
   EXPECT_EQ(scheduler.perf().full_rebuilds, 1);
   EXPECT_EQ(scheduler.perf().incremental_allocs, 0);
-}
-
-TEST(BackfillCached, MatchesRescanningVariant) {
-  Rng rng(123);
-  const Fabric fabric = random_fabric(rng, 5);
-  const Trace trace = random_online_trace(rng, 5, 9);
-
-  ScheduleInput input;
-  input.fabric = &fabric;
-  for (const Coflow& coflow : trace.coflows) {
-    ActiveCoflow view;
-    view.id = coflow.id();
-    for (const Flow& f : coflow.flows()) {
-      view.flows.push_back(ActiveFlow{f.id, f.coflow, f.src, f.dst});
-    }
-    input.coflows.push_back(std::move(view));
-  }
-
-  for (const int rounds : {1, 3}) {
-    Allocation plain;   // backfill from an empty base allocation
-    Allocation cached;
-    even_backfill(input, plain, rounds);
-
-    const std::vector<int> counts = link_flow_counts(input);
-    std::vector<double> residual = link_usage(input, cached);
-    for (LinkId i = 0; i < fabric.num_links(); ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      residual[idx] = fabric.capacity(i) - residual[idx];
-    }
-    even_backfill_cached(input, cached, rounds, counts, residual);
-
-    for (const ActiveCoflow& coflow : input.coflows) {
-      for (const ActiveFlow& f : coflow.flows) {
-        EXPECT_DOUBLE_EQ(cached.rate(f.id), plain.rate(f.id))
-            << "rounds " << rounds << " flow " << f.id;
-      }
-    }
-  }
 }
 
 TEST(SchedPerfCounters, AccumulateAndExportJson) {

@@ -290,7 +290,7 @@ TEST(SweepTest, MergesPerfAcrossCells) {
   options.duration_s = 30.0;
   SweepSpec spec;
   spec.fabric = Fabric(options.num_racks, gbps(1.0));
-  spec.policies = {"ncdrf", "ncdrf-scratch"};
+  spec.policies = {"ncdrf", "ncdrf-live"};
   spec.traces.push_back(SweepCase{"a", generate_synthetic_fb(options)});
   options.seed = 99;
   spec.traces.push_back(SweepCase{"b", generate_synthetic_fb(options)});

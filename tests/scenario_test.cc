@@ -386,6 +386,31 @@ TEST(CrossPlaneEquivalence, DeploymentRunsTheSameSpec) {
   }
 }
 
+TEST(CrossPlaneEquivalence, DeploymentRunsAFlowSplitterSpec) {
+  // A flow-splitter submits its slices at one instant. Their ids must
+  // follow stream order within the client, which the deployment checks.
+  ScenarioSpec spec = small_spec("ncdrf", 14);
+  StrategySpec splitter;
+  splitter.kind = "flow-splitter";
+  spec.strategies[0] = splitter;
+  const scenario::ScenarioWorkload workload = scenario::build_workload(spec);
+  for (const auto& schedule : workload.transformed.per_client) {
+    for (std::size_t i = 1; i < schedule.size(); ++i) {
+      EXPECT_LT(schedule[i - 1].coflow, schedule[i].coflow);
+      ASSERT_FALSE(schedule[i - 1].flows.empty() || schedule[i].flows.empty());
+      EXPECT_LT(schedule[i - 1].flows.back().id, schedule[i].flows.front().id);
+    }
+  }
+  DeploymentOptions options;
+  options.tick_s = 0.005;
+  const DeploymentResult result = scenario::run_on_deployment(spec, options);
+  EXPECT_EQ(result.coflows.size(),
+            scenario::run_on_sim(spec).result.coflows.size());
+  for (const CoflowRecord& rec : result.coflows) {
+    EXPECT_GT(rec.completion, 0.0);
+  }
+}
+
 // -------------------------------------------------------------------
 // Karma: allocation invariants over the seeded property workloads, and
 // the incentive headline against the flow-splitter.

@@ -5,15 +5,15 @@
 
 #include <cmath>
 
+#include "alloc/even_split.h"
+#include "alloc/waterfill.h"
 #include "coflow/coflow.h"
 #include "common/check.h"
 #include "common/units.h"
 #include "sched/aalo.h"
 #include "sched/allocation.h"
-#include "sched/backfill.h"
 #include "sched/drf.h"
 #include "sched/hug.h"
-#include "sched/maxmin.h"
 #include "sched/perflow.h"
 #include "sched/psp.h"
 #include "sched/varys.h"
@@ -74,20 +74,30 @@ TEST(Allocation, LinkUsageAndCapacityCheck) {
   EXPECT_NO_THROW(check_capacity(snap.input, alloc));
 }
 
+// Weighted max-min rates for `flows` over per-link `available` capacity.
+std::vector<double> max_min(const Fabric& fabric,
+                            const std::vector<WaterfillFlow>& flows,
+                            const std::vector<double>& available) {
+  WaterfillKernel kernel;
+  std::vector<double> rates;
+  kernel.solve(fabric, flows, available, rates);
+  return rates;
+}
+
 TEST(MaxMin, SingleFlowTakesTheWholePath) {
   const Fabric fabric(2, gbps(1.0));
-  std::vector<MaxMinFlow> flows{{0, 0, 1, 1.0}};
+  std::vector<WaterfillFlow> flows{{0, 0, 1, 1.0}};
   std::vector<double> cap(4, gbps(1.0));
-  const auto rates = weighted_max_min(fabric, flows, cap);
+  const auto rates = max_min(fabric, flows, cap);
   EXPECT_DOUBLE_EQ(rates[0], gbps(1.0));
 }
 
 TEST(MaxMin, EqualSplitOnSharedBottleneck) {
   const Fabric fabric(2, gbps(1.0));
   // Two flows into the same downlink from different uplinks.
-  std::vector<MaxMinFlow> flows{{0, 0, 1, 1.0}, {1, 1, 1, 1.0}};
+  std::vector<WaterfillFlow> flows{{0, 0, 1, 1.0}, {1, 1, 1, 1.0}};
   std::vector<double> cap(4, gbps(1.0));
-  const auto rates = weighted_max_min(fabric, flows, cap);
+  const auto rates = max_min(fabric, flows, cap);
   EXPECT_DOUBLE_EQ(rates[0], gbps(0.5));
   EXPECT_DOUBLE_EQ(rates[1], gbps(0.5));
 }
@@ -98,9 +108,10 @@ TEST(MaxMin, UnfreezesSecondLevel) {
   // shares uplink 1 with flow 1. Classic two-level max-min: flow 1 is
   // bottlenecked at 0.5 on the downlink, then flow 2 gets the remaining
   // 0.5 of uplink 1... and then grows to its own bottleneck.
-  std::vector<MaxMinFlow> flows{{0, 0, 2, 1.0}, {1, 1, 2, 1.0}, {2, 1, 0, 1.0}};
+  std::vector<WaterfillFlow> flows{
+      {0, 0, 2, 1.0}, {1, 1, 2, 1.0}, {2, 1, 0, 1.0}};
   std::vector<double> cap(6, gbps(1.0));
-  const auto rates = weighted_max_min(fabric, flows, cap);
+  const auto rates = max_min(fabric, flows, cap);
   EXPECT_DOUBLE_EQ(rates[0], gbps(0.5));
   EXPECT_DOUBLE_EQ(rates[1], gbps(0.5));
   EXPECT_DOUBLE_EQ(rates[2], gbps(0.5));
@@ -108,18 +119,18 @@ TEST(MaxMin, UnfreezesSecondLevel) {
 
 TEST(MaxMin, RespectsWeights) {
   const Fabric fabric(2, gbps(1.0));
-  std::vector<MaxMinFlow> flows{{0, 0, 1, 3.0}, {1, 1, 1, 1.0}};
+  std::vector<WaterfillFlow> flows{{0, 0, 1, 3.0}, {1, 1, 1, 1.0}};
   std::vector<double> cap(4, gbps(1.0));
-  const auto rates = weighted_max_min(fabric, flows, cap);
+  const auto rates = max_min(fabric, flows, cap);
   EXPECT_DOUBLE_EQ(rates[0], gbps(0.75));
   EXPECT_DOUBLE_EQ(rates[1], gbps(0.25));
 }
 
 TEST(MaxMin, ZeroCapacityLinkStarves) {
   const Fabric fabric(2, gbps(1.0));
-  std::vector<MaxMinFlow> flows{{0, 0, 1, 1.0}, {1, 1, 0, 1.0}};
+  std::vector<WaterfillFlow> flows{{0, 0, 1, 1.0}, {1, 1, 0, 1.0}};
   std::vector<double> cap{gbps(1.0), gbps(1.0), 0.0, gbps(1.0)};
-  const auto rates = weighted_max_min(fabric, flows, cap);
+  const auto rates = max_min(fabric, flows, cap);
   EXPECT_DOUBLE_EQ(rates[1], 0.0);           // downlink 0 has no capacity
   EXPECT_DOUBLE_EQ(rates[0], gbps(1.0));     // unaffected
 }
@@ -131,7 +142,9 @@ TEST(Backfill, FillsOnlyWhereBothEndsHaveSpare) {
   for (const ActiveCoflow& c : snap.input.coflows) {
     for (const ActiveFlow& f : c.flows) alloc.set_rate(f.id, 0.0);
   }
-  even_backfill(snap.input, alloc, 1);
+  std::vector<double> scratch;
+  even_split_backfill(snap.input, alloc, 1, link_flow_counts(snap.input),
+                      scratch);
   // Every link's unused capacity is split evenly over its flows; each flow
   // takes the min of its two shares. Links 1 and 3 carry 3 flows each →
   // share 1/3; links 0 and 2 carry 1 flow → share 1.
@@ -154,7 +167,9 @@ TEST(Backfill, NeverOversubscribesAcrossRounds) {
   const Trace trace = builder.build();
   auto snap = snapshot_all_active(fabric, trace, false);
   Allocation alloc;
-  even_backfill(snap.input, alloc, 5);
+  std::vector<double> scratch;
+  even_split_backfill(snap.input, alloc, 5, link_flow_counts(snap.input),
+                      scratch);
   EXPECT_NO_THROW(check_capacity(snap.input, alloc));
 }
 

@@ -173,8 +173,9 @@ TEST(ScratchReuse, InterleavedPoliciesSettleToFlatPerCallAllocations) {
   // One scheduler per policy family that owns kernel scratch state; the
   // round-robin interleaving ensures no policy's scratch is invalidated
   // by another's calls (each owns its own arena/cache).
-  const std::vector<std::string> names = {"fifo", "aalo",  "baraat",
-                                          "psp",  "varys", "tcp"};
+  const std::vector<std::string> names = {"fifo",  "aalo", "baraat",
+                                          "psp",   "varys", "tcp",
+                                          "ncdrf", "ncdrf-live"};
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (const std::string& name : names) {
     scheds.push_back(make_scheduler(name));
