@@ -1,6 +1,5 @@
 #include "scenario/spec.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -449,18 +448,98 @@ DeploymentResult run_on_deployment(const ScenarioSpec& spec,
   return run_deployment(fabric, source, *scheduler, opts);
 }
 
-// The serve plane's CCT-equivalence driver: an exact fluid data plane under
-// the real front-end control plane. The loop mirrors src/sim/engine.cc event
-// for event — allocate at every instant where the active set is non-empty
-// (after retire + admit), integrate delivered = min(rate · dt, remaining)
-// between instants, retire at the completion epsilon — so stateful policies
-// (karma's credit clock) see the identical (now, view) sequence on both
-// planes and the equivalence tolerance can be ulp-tight.
-ScenarioRun run_on_serve(const ScenarioSpec& spec) {
-  constexpr double kTimeTolerance = 1e-9;      // engine's admission slack
-  constexpr double kCompletionEpsilonBits = 1.0;  // SimOptions default
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+namespace {
 
+// The serve plane's data plane, as a Scheduler the simulator engine drives:
+// the engine integrates the fluid state and this adapter plays every slave
+// of a ServeFront. Arrivals are enqueued on their client's queue, finished
+// flows are reported, and before each allocation the slaves heartbeat the
+// exact attained bits; one epoch then runs at the engine's instant and its
+// allocation is handed back. Every instant carries an arrival or a finish,
+// so the master is dirty and reallocates exactly once per engine event, and
+// stateful policies (karma's credit clock) see the same (now, view)
+// sequence on both planes.
+class ServePlane final : public Scheduler {
+ public:
+  // `size_of` holds every flow's size by FlowId; flows must be larger than
+  // `epsilon_bits`, the engine's completion epsilon.
+  ServePlane(serve::ServeFront& front, const Scheduler& inner,
+             std::vector<double> size_of, double epsilon_bits, int machines)
+      : front_(front),
+        inner_(inner),
+        size_of_(std::move(size_of)),
+        epsilon_bits_(epsilon_bits),
+        heartbeats_(static_cast<std::size_t>(machines)) {
+    for (MachineId m = 0; m < machines; ++m) {
+      heartbeats_[static_cast<std::size_t>(m)].machine = m;
+    }
+  }
+
+  std::string name() const override { return inner_.name(); }
+  // True only so the engine exposes remaining bits for the heartbeats. The
+  // inner policy's clairvoyance is enforced at the register API instead:
+  // submissions carry sizes_known = inner.clairvoyant(), and the Master
+  // zeroes sizes for the rest.
+  bool clairvoyant() const override { return true; }
+  bool wants_events() const override { return true; }
+
+  void on_coflow_arrival(const ActiveCoflow& coflow) override {
+    serve::Submission s;
+    s.coflow = coflow.id;
+    s.client = coflow.tenant;
+    s.submit_time = coflow.arrival_time;
+    s.weight = coflow.weight;
+    s.sizes_known = inner_.clairvoyant();  // lifetime 0: retire on finish
+    s.flows.reserve(coflow.flows.size());
+    for (const ActiveFlow& f : coflow.flows) {
+      const double size = size_of_[static_cast<std::size_t>(f.id)];
+      NCDRF_CHECK(size > epsilon_bits_,
+                  "serve plane needs flows above the completion epsilon");
+      s.flows.push_back(Flow{f.id, f.coflow, f.src, f.dst, size});
+    }
+    NCDRF_CHECK(front_.queue(s.client).try_enqueue(std::move(s)),
+                "unbounded serve-plane queue rejected a submission");
+  }
+
+  void on_flow_finish(const ActiveFlow& flow) override {
+    finished_.push_back(FlowFinishedMsg{flow.id, flow.coflow, 0.0});
+  }
+
+  Allocation allocate(const ScheduleInput& input) override {
+    if (!finished_.empty()) {
+      for (FlowFinishedMsg& msg : finished_) msg.finish_time = input.now;
+      front_.master().on_flows_finished(finished_);
+      finished_.clear();
+    }
+    for (HeartbeatMsg& hb : heartbeats_) hb.attained_bits.clear();
+    for (const ActiveCoflow& coflow : input.coflows) {
+      for (const ActiveFlow& f : coflow.flows) {
+        const double attained = size_of_[static_cast<std::size_t>(f.id)] -
+                                input.clairvoyant->remaining_bits(f.id);
+        heartbeats_[static_cast<std::size_t>(f.src)].attained_bits
+            .emplace_back(f.id, attained);
+      }
+    }
+    for (const HeartbeatMsg& hb : heartbeats_) {
+      front_.master().on_heartbeat(hb, input.now);
+    }
+    front_.step_epoch(input.now);
+    return front_.last_allocation();
+  }
+
+ private:
+  serve::ServeFront& front_;
+  const Scheduler& inner_;
+  const std::vector<double> size_of_;
+  const double epsilon_bits_;
+  std::vector<HeartbeatMsg> heartbeats_;
+  // Finishes since the last allocation, reported before the next epoch.
+  std::vector<FlowFinishedMsg> finished_;
+};
+
+}  // namespace
+
+ScenarioRun run_on_serve(const ScenarioSpec& spec) {
   ScenarioRun run;
   run.workload = build_workload(spec);
   const Fabric fabric = make_fabric(spec);
@@ -475,158 +554,24 @@ ScenarioRun run_on_serve(const ScenarioSpec& spec) {
   serve::ServeFront front(fabric, *scheduler, spec.workload.num_clients,
                           options);
 
-  // Arrival stream in global (time, client) order + dense-id ground truth.
-  std::vector<serve::Submission> arrivals;
-  {
-    VectorSource source(run.workload.transformed.per_client,
-                        spec.workload.num_machines);
-    while (source.peek() != nullptr) arrivals.push_back(source.next());
-  }
-  std::size_t total_flows = 0;
-  for (const serve::Submission& s : arrivals) total_flows += s.flows.size();
-
-  RunResult& result = run.result;
-  result.coflows.resize(arrivals.size());
-  std::vector<double> remaining(total_flows, 0.0);
-  std::vector<double> attained(total_flows, 0.0);
-  std::vector<double> rate(total_flows, 0.0);
-  std::vector<MachineId> src_of(total_flows, -1);
-  std::vector<CoflowId> coflow_of(total_flows, -1);
-  std::vector<int> unfinished(arrivals.size(), 0);
-  std::vector<FlowId> live;
-
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-  std::vector<FlowFinishedMsg> finish_batch;
-  std::vector<HeartbeatMsg> heartbeats(
-      static_cast<std::size_t>(spec.workload.num_machines));
-  for (MachineId m = 0; m < spec.workload.num_machines; ++m) {
-    heartbeats[static_cast<std::size_t>(m)].machine = m;
-  }
-
-  const auto enqueue_due = [&] {
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival].submit_time <= now + kTimeTolerance) {
-      serve::Submission s = arrivals[next_arrival++];
-      s.sizes_known = scheduler->clairvoyant();
-      s.lifetime_s = 0.0;  // completion-driven retirement only
-      const auto c = static_cast<std::size_t>(s.coflow);
-      CoflowRecord& rec = result.coflows[c];
-      rec.id = s.coflow;
-      rec.arrival = s.submit_time;
-      rec.width = static_cast<int>(s.flows.size());
-      std::vector<double> demand(
-          static_cast<std::size_t>(fabric.num_links()), 0.0);
+  std::vector<double> size_of;
+  for (const auto& schedule : run.workload.transformed.per_client) {
+    for (const serve::Submission& s : schedule) {
       for (const Flow& f : s.flows) {
-        NCDRF_CHECK(f.size_bits > kCompletionEpsilonBits,
-                    "serve equivalence driver needs flows above the "
-                    "completion epsilon");
         const auto idx = static_cast<std::size_t>(f.id);
-        remaining[idx] = f.size_bits;
-        src_of[idx] = f.src;
-        coflow_of[idx] = f.coflow;
-        live.push_back(f.id);
-        ++unfinished[c];
-        rec.total_bits += f.size_bits;
-        rec.max_flow_bits = std::max(rec.max_flow_bits, f.size_bits);
-        demand[static_cast<std::size_t>(fabric.uplink(f.src))] += f.size_bits;
-        demand[static_cast<std::size_t>(fabric.downlink(f.dst))] +=
-            f.size_bits;
-      }
-      for (LinkId l = 0; l < fabric.num_links(); ++l) {
-        rec.min_cct =
-            std::max(rec.min_cct, demand[static_cast<std::size_t>(l)] /
-                                      fabric.capacity(l));
-      }
-      NCDRF_CHECK(
-          front.queue(s.client).try_enqueue(std::move(s)),
-          "unbounded equivalence queue rejected a submission");
-    }
-  };
-
-  enqueue_due();
-  while (!live.empty() || next_arrival < arrivals.size() ||
-         front.backlog() > 0) {
-    if (live.empty() && front.backlog() == 0) {
-      now = arrivals[next_arrival].submit_time;
-      enqueue_due();
-      continue;
-    }
-
-    // Allocate at `now`: exact attained via heartbeats (what the engine's
-    // in-memory view gives clairvoyant policies), then one epoch step —
-    // every instant here carries an arrival or a finish, so the master is
-    // dirty and reallocates exactly once per event.
-    for (HeartbeatMsg& hb : heartbeats) hb.attained_bits.clear();
-    for (const FlowId f : live) {
-      const auto idx = static_cast<std::size_t>(f);
-      heartbeats[static_cast<std::size_t>(src_of[idx])].attained_bits
-          .emplace_back(f, attained[idx]);
-    }
-    for (const HeartbeatMsg& hb : heartbeats) {
-      front.master().on_heartbeat(hb, now);
-    }
-    front.step_epoch(now);
-    const Allocation& alloc = front.last_allocation();
-    for (const FlowId f : live) {
-      rate[static_cast<std::size_t>(f)] = alloc.rate(f);
-    }
-
-    // Next event: earliest completion under these rates, or next arrival.
-    double t_next = kInfinity;
-    for (const FlowId f : live) {
-      const auto idx = static_cast<std::size_t>(f);
-      if (rate[idx] > 0.0) {
-        t_next = std::min(t_next, now + remaining[idx] / rate[idx]);
+        if (idx >= size_of.size()) size_of.resize(idx + 1, 0.0);
+        size_of[idx] = f.size_bits;
       }
     }
-    if (next_arrival < arrivals.size()) {
-      t_next = std::min(t_next, arrivals[next_arrival].submit_time);
-    }
-    NCDRF_CHECK(std::isfinite(t_next),
-                "starvation: no completion or arrival ahead under scheduler " +
-                    scheduler->name());
-    const double dt = std::max(t_next - now, 0.0);
-    if (dt > 0.0) {
-      for (const FlowId f : live) {
-        const auto idx = static_cast<std::size_t>(f);
-        if (rate[idx] > 0.0) {
-          const double delivered = std::min(rate[idx] * dt, remaining[idx]);
-          remaining[idx] -= delivered;
-          attained[idx] += delivered;
-          result.total_bits_delivered += delivered;
-        }
-      }
-    }
-    now += dt;
-    ++result.num_events;
-
-    // Retire flows at the completion epsilon; coflow completions land at
-    // this instant, exactly like the engine's retire phase.
-    finish_batch.clear();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const FlowId f = live[i];
-      const auto idx = static_cast<std::size_t>(f);
-      if (remaining[idx] <= kCompletionEpsilonBits) {
-        finish_batch.push_back(FlowFinishedMsg{f, coflow_of[idx], now});
-        rate[idx] = 0.0;
-        const auto c = static_cast<std::size_t>(coflow_of[idx]);
-        if (--unfinished[c] == 0) {
-          CoflowRecord& rec = result.coflows[c];
-          rec.completion = now;
-          rec.cct = now - rec.arrival;
-          result.makespan = std::max(result.makespan, now);
-        }
-      } else {
-        live[kept++] = f;
-      }
-    }
-    live.resize(kept);
-    if (!finish_batch.empty()) front.master().on_flows_finished(finish_batch);
-    enqueue_due();
   }
-  result.num_allocations = front.allocations();
+  SimOptions sim;
+  sim.record_intervals = false;
+  ServePlane plane(front, *scheduler, std::move(size_of),
+                   sim.completion_epsilon_bits, spec.workload.num_machines);
+  VectorSource source(run.workload.transformed.per_client,
+                      spec.workload.num_machines);
+  run.result = simulate(fabric, source, plane, sim);
+  run.result.num_allocations = front.allocations();
   return run;
 }
 

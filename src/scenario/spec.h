@@ -11,10 +11,12 @@
 //
 // Plane semantics:
 //   * run_on_sim       — simulate() over the transformed workload;
-//   * run_on_serve     — ServeFront stepped at every arrival/completion
-//     instant with an exact fluid data plane ("epoch=1": one admission
-//     batch per event, rates integrated analytically between events, the
-//     same event batching as the simulator) — the CCT-equivalence mode;
+//   * run_on_serve     — the same engine driving a ServeFront through a
+//     Scheduler adapter that plays its slaves: one admission batch and
+//     one epoch per engine event, exact heartbeats before each epoch.
+//     One fluid integrator, so view-pure policies get bitwise equal CCTs
+//     and policies reading attained or remaining bits through the
+//     Master's heartbeat view agree to 1e-9;
 //   * run_on_deployment — run_deployment() with spec.faults (discrete
 //     ticks, control latency; CCTs quantized to the tick).
 #pragma once

@@ -30,7 +30,8 @@ struct DynamicSimulator::Impl {
     Coflow coflow;
     std::vector<const Flow*> unfinished;
     std::vector<const Flow*> finished;
-    std::vector<double> correlation;  // c_k from original demand (Eq. 1)
+    // c_k from original demand (Eq. 1); empty unless track_progress.
+    std::vector<double> correlation;
     LinkId dom_link = -1;             // arg-max of the original demand
     // The entry's ActiveCoflow view in `input` (same index as in `active`)
     // no longer matches unfinished/finished and must be re-filled before
@@ -73,6 +74,9 @@ struct DynamicSimulator::Impl {
                 "completion epsilon must be positive");
     input.fabric = &fabric;
     input.reconcile = options.reconcile;
+    track_progress = options.record_intervals ||
+                     options.record_progress_timeseries ||
+                     options.auditor != nullptr;
     if (options.metrics != nullptr) {
       // Instruments are looked up once; per-event cost is an increment.
       m_arrivals = &options.metrics->counter("sim.coflow_arrivals");
@@ -88,6 +92,9 @@ struct DynamicSimulator::Impl {
   const Fabric& fabric;
   Scheduler& scheduler;
   SimOptions options;
+  // Some consumer reads per-interval progress (progress_of), so entries
+  // keep their correlation vector; off, the engine never builds it.
+  bool track_progress = false;
   CompletionCallback on_complete;
   // Deliver arrival/flow-finish/departure deltas to the scheduler (set at
   // run() from Scheduler::wants_events) so event-driven policies can keep
@@ -163,7 +170,7 @@ struct DynamicSimulator::Impl {
     result.coflows.push_back(rec);
 
     auto entry = std::make_unique<ActiveEntry>(std::move(coflow));
-    entry->correlation = d.correlation();
+    if (track_progress) entry->correlation = d.correlation();
     entry->dom_link = d.bottleneck_link;
     FlowId max_flow_id = -1;
     for (const Flow& f : entry->coflow.flows()) {
@@ -300,6 +307,17 @@ struct DynamicSimulator::Impl {
       }
     }
     return std::isfinite(progress) ? progress : 0.0;
+  }
+
+  // Σ rates over the unfinished flows: the fabric's throughput in the
+  // interval. O(live flows), where Allocation::total_rate would walk the
+  // whole dense table.
+  double live_rate_sum(const Allocation& alloc) const {
+    double sum = 0.0;
+    for (const auto& entry : active) {
+      for (const Flow* f : entry->unfinished) sum += alloc.rate(f->id);
+    }
+    return sum;
   }
 
   // Folds one flow's (possibly new) rate into the completion heap: flows
@@ -465,9 +483,14 @@ struct DynamicSimulator::Impl {
                   "simulated time limit exceeded");
 
       // Time-weighted metrics over [now, now + dt).
-      if (dt > 0.0 &&
-          (options.record_intervals || options.record_progress_timeseries ||
-           options.auditor != nullptr)) {
+      const double rate_sum =
+          dt > 0.0 && (options.record_intervals || m_utilization != nullptr)
+              ? live_rate_sum(alloc)
+              : 0.0;
+      if (dt > 0.0 && m_utilization != nullptr) {
+        m_utilization->observe(2.0 * rate_sum / fabric.total_capacity());
+      }
+      if (dt > 0.0 && track_progress) {
         double min_p = kInfinity;
         double max_p = 0.0;
         for (const auto& entry : active) {
@@ -496,14 +519,10 @@ struct DynamicSimulator::Impl {
           rec.t0 = now;
           rec.t1 = now + dt;
           rec.active_coflows = static_cast<int>(active.size());
-          rec.link_usage_bps = 2.0 * alloc.total_rate();
+          rec.link_usage_bps = 2.0 * rate_sum;
           rec.min_progress = std::isfinite(min_p) ? min_p : 0.0;
           rec.max_progress = max_p;
           result.intervals.push_back(rec);
-        }
-        if (m_utilization != nullptr) {
-          m_utilization->observe(2.0 * alloc.total_rate() /
-                                 fabric.total_capacity());
         }
       }
 

@@ -387,6 +387,19 @@ TEST(SimObservabilityTest, EngineFeedsCountersAndHistograms) {
   EXPECT_EQ(obs::validate_metrics_json(out.str()), "");
 }
 
+TEST(SimObservabilityTest, UtilizationIsObservedWithoutIntervals) {
+  const Trace trace = testing::fig3_trace();
+  const Fabric fabric(2, gbps(1.0));
+  obs::MetricsRegistry metrics;
+  SimOptions sim;
+  sim.metrics = &metrics;
+  sim.record_intervals = false;
+  NcDrfScheduler scheduler;
+  const RunResult run = simulate(fabric, trace, scheduler, sim);
+  EXPECT_TRUE(run.intervals.empty());
+  EXPECT_GT(metrics.histogram("sim.link_utilization").count(), 0);
+}
+
 // --- Fairness auditor -----------------------------------------------------
 
 TEST(AuditTest, NcDrfRunPassesTheoremEnvelope) {
