@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "common/check.h"
 #include "obs/perf.h"
@@ -55,6 +56,16 @@ bool ShardPlan::matches(const Fabric& fabric, int num_shards) const {
          std::max(std::min(num_shards, num_machines_), 1);
 }
 
+namespace {
+
+// One worker per shard, but never more than the host's hardware threads.
+int pool_threads(int num_shards) {
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  return std::min(num_shards, std::max(1, hardware));
+}
+
+}  // namespace
+
 std::unique_ptr<ShardRuntime> ShardRuntime::create(
     const SchedulerOptions& options) {
   NCDRF_CHECK(options.shards >= 1, "shard count must be positive");
@@ -63,7 +74,7 @@ std::unique_ptr<ShardRuntime> ShardRuntime::create(
 }
 
 ShardRuntime::ShardRuntime(int num_shards)
-    : num_shards_(num_shards), pool_(num_shards) {
+    : num_shards_(num_shards), pool_(pool_threads(num_shards)) {
   NCDRF_CHECK(num_shards >= 2, "a shard runtime needs at least two shards");
 }
 

@@ -92,9 +92,12 @@ class ShardRuntime {
   // that runs today — that is the shards == 1 bit-identity guarantee.
   static std::unique_ptr<ShardRuntime> create(const SchedulerOptions& options);
 
+  // The pool gets min(num_shards, hardware threads) workers; shard tasks
+  // beyond that queue on it, so any shard count costs bounded threads.
   explicit ShardRuntime(int num_shards);
 
   int num_shards() const { return num_shards_; }
+  int num_threads() const { return pool_.num_threads(); }
 
   // Binds (or re-binds) the partition to `fabric`; cheap when the plan
   // already matches. Returns the bound plan.

@@ -1,5 +1,7 @@
 #include "core/registry.h"
 
+#include <charconv>
+
 #include "common/check.h"
 #include "core/ncdrf.h"
 #include "sched/aalo.h"
@@ -18,13 +20,12 @@ namespace ncdrf {
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
   const std::size_t at = name.rfind('@');
   if (at != std::string::npos) {
-    const std::string suffix = name.substr(at + 1);
-    NCDRF_CHECK(!suffix.empty() &&
-                    suffix.find_first_not_of("0123456789") ==
-                        std::string::npos,
-                "malformed shard suffix in scheduler name: " + name);
+    const char* end = name.data() + name.size();
     SchedulerOptions options;
-    options.shards = std::stoi(suffix);
+    const auto [ptr, ec] =
+        std::from_chars(name.data() + at + 1, end, options.shards);
+    NCDRF_CHECK(ec == std::errc() && ptr == end,
+                "malformed shard suffix in scheduler name: " + name);
     NCDRF_CHECK(options.shards >= 1,
                 "shard count must be positive in: " + name);
     return make_scheduler(name.substr(0, at), options);

@@ -1,13 +1,13 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/audit.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -15,34 +15,6 @@
 #include "obs/tracer.h"
 
 namespace ncdrf::obs {
-namespace {
-
-// Minimal JSON string escaping for trigger details (our own strings never
-// need \u escapes beyond control characters).
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(FlightOptions options)
     : options_(std::move(options)) {
   NCDRF_CHECK(options_.cooldown_s >= 0.0,
@@ -172,9 +144,9 @@ std::string FlightRecorder::build_bundle(double now, const std::string& kind,
   std::ostringstream out;
   out << std::setprecision(15);
   out << "{\"bundle\":\"ncdrf.flight\",\"seq\":" << seq_
-      << ",\"trigger\":{\"kind\":\"" << escape(kind) << "\",\"time\":" << now
-      << ",\"value\":" << value << ",\"detail\":\"" << escape(detail)
-      << "\"},\"config\":" << config_json_ << ",\"metrics\":";
+      << ",\"trigger\":{\"kind\":" << json_quote(kind) << ",\"time\":" << now
+      << ",\"value\":" << value << ",\"detail\":" << json_quote(detail)
+      << "},\"config\":" << config_json_ << ",\"metrics\":";
   if (metrics_ != nullptr) {
     std::ostringstream metrics;
     metrics_->write_json(metrics);

@@ -1,280 +1,14 @@
 #include "obs/json_lint.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <variant>
 #include <vector>
+
+#include "common/json.h"
 
 namespace ncdrf::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON DOM + recursive-descent parser. Enough of RFC 8259 for the
-// artifacts this layer emits (no \u surrogate pairs decoded — they are
-// validated and kept escaped; our exporters never produce them).
-// ---------------------------------------------------------------------------
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  bool is_number() const { return std::holds_alternative<double>(v); }
-  bool is_string() const { return std::holds_alternative<std::string>(v); }
-  bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(v);
-  }
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  double number() const { return std::get<double>(v); }
-  const std::string& string() const { return std::get<std::string>(v); }
-  const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  // Parses one complete document; error() is non-empty on failure.
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (error_.empty() && pos_ != text_.size()) {
-      fail("trailing characters after JSON value");
-    }
-    return value;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  void fail(const std::string& what) {
-    if (error_.empty()) {
-      std::ostringstream out;
-      out << what << " at offset " << pos_;
-      error_ = out.str();
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return {};
-    }
-    const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    if (c == 't') {
-      if (literal("true")) return JsonValue{true};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == 'f') {
-      if (literal("false")) return JsonValue{false};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == 'n') {
-      if (literal("null")) return JsonValue{nullptr};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-    return {};
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) {
-      fail("expected string");
-      return out;
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return out;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              fail("invalid \\u escape");
-              return out;
-            }
-            ++pos_;
-          }
-          out.push_back('?');  // kept escaped; content is irrelevant here
-          break;
-        }
-        default:
-          fail("invalid escape character");
-          return out;
-      }
-    }
-    fail("unterminated string");
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      fail("invalid number");
-      return {};
-    }
-    // Leading zeros are invalid JSON ("01"), a single zero is fine.
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("invalid number");
-        return {};
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("invalid number");
-        return {};
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const double value = std::strtod(text_.c_str() + start, nullptr);
-    if (!std::isfinite(value)) {
-      fail("number out of range");
-      return {};
-    }
-    return JsonValue{value};
-  }
-
-  JsonValue parse_array() {
-    consume('[');
-    auto array = std::make_shared<JsonArray>();
-    skip_ws();
-    if (consume(']')) return JsonValue{array};
-    while (error_.empty()) {
-      array->push_back(parse_value());
-      if (!error_.empty()) break;
-      if (consume(']')) return JsonValue{array};
-      if (!consume(',')) {
-        fail("expected ',' or ']' in array");
-        break;
-      }
-    }
-    return {};
-  }
-
-  JsonValue parse_object() {
-    consume('{');
-    auto object = std::make_shared<JsonObject>();
-    skip_ws();
-    if (consume('}')) return JsonValue{object};
-    while (error_.empty()) {
-      skip_ws();
-      std::string key = parse_string();
-      if (!error_.empty()) break;
-      if (!consume(':')) {
-        fail("expected ':' in object");
-        break;
-      }
-      (*object)[std::move(key)] = parse_value();
-      if (!error_.empty()) break;
-      if (consume('}')) return JsonValue{object};
-      if (!consume(',')) {
-        fail("expected ',' or '}' in object");
-        break;
-      }
-    }
-    return {};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
 
 // ---------------------------------------------------------------------------
 // Schema checks.
@@ -293,76 +27,9 @@ std::string require_number(const JsonObject& object, const std::string& key,
   return "";
 }
 
-std::string check_trace_event(const JsonObject& event, std::size_t index,
-                              std::vector<std::string>& open_spans) {
-  std::ostringstream where_s;
-  where_s << "traceEvents[" << index << ']';
-  const std::string where = where_s.str();
-
-  const JsonValue* name = find(event, "name");
-  if (name == nullptr || !name->is_string()) {
-    return where + ": missing string \"name\"";
-  }
-  const JsonValue* cat = find(event, "cat");
-  if (cat == nullptr || !cat->is_string()) {
-    return where + ": missing string \"cat\"";
-  }
-  const JsonValue* ph = find(event, "ph");
-  if (ph == nullptr || !ph->is_string() || ph->string().size() != 1) {
-    return where + ": missing one-character \"ph\"";
-  }
-  for (const char* key : {"ts", "pid", "tid"}) {
-    if (std::string err = require_number(event, key, where); !err.empty()) {
-      return err;
-    }
-  }
-  const JsonValue* args = find(event, "args");
-  if (args != nullptr && !args->is_object()) {
-    return where + ": \"args\" not an object";
-  }
-
-  const char phase = ph->string()[0];
-  switch (phase) {
-    case 'B':
-      open_spans.push_back(name->string());
-      return "";
-    case 'E':
-      if (open_spans.empty()) {
-        return where + ": 'E' with no open 'B' span";
-      }
-      if (open_spans.back() != name->string()) {
-        return where + ": 'E' for \"" + name->string() +
-               "\" but innermost open span is \"" + open_spans.back() + '"';
-      }
-      open_spans.pop_back();
-      return "";
-    case 'i': {
-      const JsonValue* scope = find(event, "s");
-      if (scope != nullptr && !scope->is_string()) {
-        return where + ": instant scope \"s\" not a string";
-      }
-      return "";
-    }
-    case 'b':
-    case 'e': {
-      if (std::string err = require_number(event, "id", where); !err.empty()) {
-        return err;
-      }
-      return "";
-    }
-    case 'X':
-      return require_number(event, "dur", where);
-    case 'M':
-    case 'C':
-      return "";
-    default:
-      return where + ": unknown phase '" + std::string(1, phase) + '\'';
-  }
-}
-
-// The per-event field checks of check_trace_event without the span
-// bookkeeping — what a flight bundle's trace *slice* can promise (a slice
-// may cut a span in half, so B/E balance is not required there).
+// The per-event fields every trace event carries — all a flight bundle's
+// trace *slice* can promise (a slice may cut a span in half, so B/E
+// balance is not required there). check_trace_event adds the rest.
 std::string check_event_fields(const JsonObject& event,
                                const std::string& where) {
   const JsonValue* name = find(event, "name");
@@ -381,6 +48,69 @@ std::string check_event_fields(const JsonObject& event,
   return "";
 }
 
+std::string check_trace_event(const JsonObject& event, std::size_t index,
+                              std::vector<std::string>& open_spans) {
+  std::ostringstream where_s;
+  where_s << "traceEvents[" << index << ']';
+  const std::string where = where_s.str();
+
+  if (std::string err = check_event_fields(event, where); !err.empty()) {
+    return err;
+  }
+  const JsonValue* cat = find(event, "cat");
+  if (cat == nullptr || !cat->is_string()) {
+    return where + ": missing string \"cat\"";
+  }
+  const JsonValue* args = find(event, "args");
+  if (args != nullptr && !args->is_object()) {
+    return where + ": \"args\" not an object";
+  }
+
+  const std::string& name = find(event, "name")->string();
+  const char phase = find(event, "ph")->string()[0];
+  switch (phase) {
+    case 'B':
+      open_spans.push_back(name);
+      return "";
+    case 'E':
+      if (open_spans.empty()) {
+        return where + ": 'E' with no open 'B' span";
+      }
+      if (open_spans.back() != name) {
+        return where + ": 'E' for \"" + name +
+               "\" but innermost open span is \"" + open_spans.back() + '"';
+      }
+      open_spans.pop_back();
+      return "";
+    case 'i': {
+      const JsonValue* scope = find(event, "s");
+      if (scope != nullptr && !scope->is_string()) {
+        return where + ": instant scope \"s\" not a string";
+      }
+      return "";
+    }
+    case 'b':
+    case 'e':
+      return require_number(event, "id", where);
+    case 'X':
+      return require_number(event, "dur", where);
+    case 'M':
+    case 'C':
+      return "";
+    default:
+      return where + ": unknown phase '" + std::string(1, phase) + '\'';
+  }
+}
+
+// p50 <= p95 <= p99 on an entry whose quantiles are already numbers.
+std::string check_quantiles(const JsonObject& entry, const std::string& where) {
+  const double p50 = find(entry, "p50")->number();
+  const double p95 = find(entry, "p95")->number();
+  const double p99 = find(entry, "p99")->number();
+  if (p50 <= p95 && p95 <= p99) return "";
+  return where + ": quantiles not ordered (p50 <= p95 <= p99)";
+}
+
 std::string check_histogram_entry(const std::string& name,
                                   const JsonValue& value) {
   const std::string where = "histograms." + name;
@@ -392,13 +122,7 @@ std::string check_histogram_entry(const std::string& name,
       return err;
     }
   }
-  const double p50 = find(entry, "p50")->number();
-  const double p95 = find(entry, "p95")->number();
-  const double p99 = find(entry, "p99")->number();
-  if (!(p50 <= p95 && p95 <= p99)) {
-    return where + ": quantiles not ordered (p50 <= p95 <= p99)";
-  }
-  return "";
+  return check_quantiles(entry, where);
 }
 
 // MetricsRegistry::write_json schema over an already-parsed object —
@@ -479,11 +203,9 @@ std::string check_snapshot_object(const JsonObject& snap,
         return err;
       }
     }
-    const double p50 = find(value.object(), "p50")->number();
-    const double p95 = find(value.object(), "p95")->number();
-    const double p99 = find(value.object(), "p99")->number();
-    if (!(p50 <= p95 && p95 <= p99)) {
-      return hwhere + ": quantiles not ordered (p50 <= p95 <= p99)";
+    if (std::string err = check_quantiles(value.object(), hwhere);
+        !err.empty()) {
+      return err;
     }
   }
   return "";
@@ -492,15 +214,13 @@ std::string check_snapshot_object(const JsonObject& snap,
 }  // namespace
 
 std::string validate_json(const std::string& text) {
-  Parser parser(text);
-  parser.parse();
-  return parser.error();
+  JsonValue root;
+  return parse_json(text, &root);
 }
 
 std::string validate_chrome_trace_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
+  JsonValue root;
+  if (std::string err = parse_json(text, &root); !err.empty()) return err;
   if (!root.is_object()) return "top level is not an object";
   const JsonObject& top = root.object();
   const JsonValue* events = find(top, "traceEvents");
@@ -539,9 +259,8 @@ std::string validate_chrome_trace_json(const std::string& text) {
 }
 
 std::string validate_metrics_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
+  JsonValue root;
+  if (std::string err = parse_json(text, &root); !err.empty()) return err;
   if (!root.is_object()) return "top level is not an object";
   return check_metrics_object(root.object());
 }
@@ -553,11 +272,10 @@ std::string validate_ndjson(const std::string& text) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    Parser parser(line);
-    const JsonValue value = parser.parse();
-    if (!parser.error().empty()) {
+    JsonValue value;
+    if (std::string err = parse_json(line, &value); !err.empty()) {
       std::ostringstream out;
-      out << "line " << line_no << ": " << parser.error();
+      out << "line " << line_no << ": " << err;
       return out.str();
     }
     if (!value.is_object()) {
@@ -583,13 +301,11 @@ std::string validate_timeseries_ndjson(const std::string& text) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    Parser parser(line);
-    const JsonValue value = parser.parse();
+    JsonValue value;
+    const std::string err = parse_json(line, &value);
     std::ostringstream where;
     where << "line " << line_no;
-    if (!parser.error().empty()) {
-      return where.str() + ": " + parser.error();
-    }
+    if (!err.empty()) return where.str() + ": " + err;
     if (!value.is_object()) return where.str() + ": not a JSON object";
     if (std::string err = check_snapshot_object(value.object(), where.str(),
                                                 prev_window, prev_t1);
@@ -601,9 +317,8 @@ std::string validate_timeseries_ndjson(const std::string& text) {
 }
 
 std::string validate_flight_bundle_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
+  JsonValue root;
+  if (std::string err = parse_json(text, &root); !err.empty()) return err;
   if (!root.is_object()) return "top level is not an object";
   const JsonObject& top = root.object();
 
@@ -693,9 +408,8 @@ std::string validate_flight_bundle_json(const std::string& text) {
 }
 
 std::string parse_timeseries_line(const std::string& line, SnapshotRow* out) {
-  Parser parser(line);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
+  JsonValue root;
+  if (std::string err = parse_json(line, &root); !err.empty()) return err;
   if (!root.is_object()) return "not a JSON object";
   const JsonObject& snap = root.object();
   double prev_window = -std::numeric_limits<double>::infinity();
@@ -732,9 +446,8 @@ std::string parse_timeseries_line(const std::string& line, SnapshotRow* out) {
 }
 
 std::string validate_gaming_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
+  JsonValue root;
+  if (std::string err = parse_json(text, &root); !err.empty()) return err;
   if (!root.is_object()) return "top level is not an object";
   const JsonObject& top = root.object();
   const JsonValue* benchmark = find(top, "benchmark");

@@ -4,8 +4,8 @@
 // the image), so CI needs an independent check that the artifacts are
 // well-formed and match the schema downstream tools expect — a trace that
 // Perfetto silently refuses to load is worse than a failing test. Each
-// validator parses the full text with a self-contained JSON parser and
-// then checks the schema structurally:
+// validator parses the full text with the strict parser of common/json.h
+// and then checks the schema structurally:
 //
 //   * Chrome trace: top-level object with a "traceEvents" array; every
 //     event has name/cat/ph/ts/pid/tid with the right types, a known

@@ -1,19 +1,19 @@
 #include "scenario/spec.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "cluster/message.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "core/registry.h"
 #include "fabric/fabric.h"
 #include "scenario/source.h"
@@ -23,9 +23,8 @@ namespace ncdrf::scenario {
 namespace {
 
 // ---------------------------------------------------------------------------
-// JSON writer. Doubles print with %.17g so every value round-trips exactly;
-// the reader below parses the same grammar, which is what makes
-// parse_scenario(to_json(spec)) an identity.
+// JSON writer. Doubles print with %.17g and integers in full, so every
+// value round-trips exactly through parse_scenario below.
 // ---------------------------------------------------------------------------
 
 std::string fmt(double v) {
@@ -34,307 +33,197 @@ std::string fmt(double v) {
   return buf;
 }
 
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-void append_field(std::string& out, const char* key, const std::string& value,
-                  bool quoted) {
+// Appends `"key":value`; `value` is already JSON text.
+void append_field(std::string& out, const char* key,
+                  const std::string& value) {
   if (out.back() != '{' && out.back() != '[') out += ',';
-  append_quoted(out, key);
+  out += json_quote(key);
   out += ':';
-  if (quoted) {
-    append_quoted(out, value);
-  } else {
-    out += value;
-  }
+  out += value;
 }
 
 void append_workload(std::string& out, const serve::LoadGenOptions& w) {
   out += '{';
-  append_field(out, "seed", std::to_string(w.seed), false);
-  append_field(out, "num_clients", std::to_string(w.num_clients), false);
-  append_field(out, "num_machines", std::to_string(w.num_machines), false);
-  append_field(out, "arrival_rate_per_s", fmt(w.arrival_rate_per_s), false);
-  append_field(out, "duration_s", fmt(w.duration_s), false);
+  append_field(out, "seed", std::to_string(w.seed));
+  append_field(out, "num_clients", std::to_string(w.num_clients));
+  append_field(out, "num_machines", std::to_string(w.num_machines));
+  append_field(out, "arrival_rate_per_s", fmt(w.arrival_rate_per_s));
+  append_field(out, "duration_s", fmt(w.duration_s));
   append_field(out, "min_flows_per_coflow",
-               std::to_string(w.min_flows_per_coflow), false);
+               std::to_string(w.min_flows_per_coflow));
   append_field(out, "max_flows_per_coflow",
-               std::to_string(w.max_flows_per_coflow), false);
-  append_field(out, "mean_flow_bits", fmt(w.mean_flow_bits), false);
-  append_field(out, "flow_size_sigma", fmt(w.flow_size_sigma), false);
-  append_field(out, "burst_factor", fmt(w.burst_factor), false);
-  append_field(out, "burst_duty", fmt(w.burst_duty), false);
-  append_field(out, "burst_period_s", fmt(w.burst_period_s), false);
-  append_field(out, "mean_lifetime_s", fmt(w.mean_lifetime_s), false);
-  append_field(out, "sizes_known", w.sizes_known ? "true" : "false", false);
-  append_field(out, "weight", fmt(w.weight), false);
+               std::to_string(w.max_flows_per_coflow));
+  append_field(out, "mean_flow_bits", fmt(w.mean_flow_bits));
+  append_field(out, "flow_size_sigma", fmt(w.flow_size_sigma));
+  append_field(out, "burst_factor", fmt(w.burst_factor));
+  append_field(out, "burst_duty", fmt(w.burst_duty));
+  append_field(out, "burst_period_s", fmt(w.burst_period_s));
+  append_field(out, "mean_lifetime_s", fmt(w.mean_lifetime_s));
+  append_field(out, "sizes_known", w.sizes_known ? "true" : "false");
+  append_field(out, "weight", fmt(w.weight));
   out += '}';
 }
 
 void append_strategy(std::string& out, const StrategySpec& s) {
   out += '{';
-  append_field(out, "kind", s.kind, true);
-  append_field(out, "k", std::to_string(s.k), false);
-  append_field(out, "factor", std::to_string(s.factor), false);
-  append_field(out, "pad", std::to_string(s.pad), false);
-  append_field(out, "dust_bits", fmt(s.dust_bits), false);
-  append_field(out, "period_s", fmt(s.period_s), false);
-  append_field(out, "duty", fmt(s.duty), false);
-  append_field(out, "seed", std::to_string(s.seed), false);
+  append_field(out, "kind", json_quote(s.kind));
+  append_field(out, "k", std::to_string(s.k));
+  append_field(out, "factor", std::to_string(s.factor));
+  append_field(out, "pad", std::to_string(s.pad));
+  append_field(out, "dust_bits", fmt(s.dust_bits));
+  append_field(out, "period_s", fmt(s.period_s));
+  append_field(out, "duty", fmt(s.duty));
+  append_field(out, "seed", std::to_string(s.seed));
   out += '}';
 }
 
 void append_fault(std::string& out, const FaultEvent& e) {
   out += '{';
-  append_field(out, "time", fmt(e.time), false);
-  append_field(out, "kind", fault_kind_name(e.kind), true);
-  append_field(out, "machine", std::to_string(e.machine), false);
-  append_field(out, "loss_probability", fmt(e.loss_probability), false);
+  append_field(out, "time", fmt(e.time));
+  append_field(out, "kind", json_quote(fault_kind_name(e.kind)));
+  append_field(out, "machine", std::to_string(e.machine));
+  append_field(out, "loss_probability", fmt(e.loss_probability));
   out += '}';
 }
 
 // ---------------------------------------------------------------------------
-// JSON reader: a strict recursive-descent parser over the spec schema.
-// Unknown keys are errors — a typo in a checked-in spec should fail loudly,
-// not silently fall back to a default.
+// JSON reader: parse_json builds the DOM and these typed readers map it
+// onto the spec, naming the member's path ($.workload.seed) in every
+// error. Unknown keys are errors: a typo in a checked-in spec should fail
+// loudly, not silently fall back to a default.
 // ---------------------------------------------------------------------------
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  char peek() {
-    skip_ws();
-    NCDRF_CHECK(pos_ < text_.size(), "scenario json: unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    NCDRF_CHECK(peek() == c,
-                std::string("scenario json: expected '") + c + "' near offset " +
-                    std::to_string(pos_));
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      NCDRF_CHECK(pos_ < text_.size(), "scenario json: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        NCDRF_CHECK(pos_ < text_.size(), "scenario json: dangling escape");
-        out += text_[pos_++];
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  double parse_double() { return std::strtod(number_token().c_str(), nullptr); }
-
-  long long parse_int() {
-    return std::strtoll(number_token().c_str(), nullptr, 10);
-  }
-
-  std::uint64_t parse_u64() {
-    return std::strtoull(number_token().c_str(), nullptr, 10);
-  }
-
-  bool parse_bool() {
-    if (peek() == 't') {
-      literal("true");
-      return true;
-    }
-    literal("false");
-    return false;
-  }
-
-  // Parses `{"k1": <v>, ...}` calling on_key for each member with the
-  // reader positioned at the value.
-  void parse_object(const std::function<void(const std::string&)>& on_key) {
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      on_key(key);
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void parse_array(const std::function<void()>& on_element) {
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      on_element();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return;
-    }
-  }
-
-  void finish() {
-    skip_ws();
-    NCDRF_CHECK(pos_ == text_.size(),
-                "scenario json: trailing characters after the document");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  void literal(const char* word) {
-    skip_ws();
-    for (const char* p = word; *p != '\0'; ++p) {
-      NCDRF_CHECK(pos_ < text_.size() && text_[pos_] == *p,
-                  std::string("scenario json: expected literal ") + word);
-      ++pos_;
-    }
-  }
-
-  std::string number_token() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
-          c == '+' || c == '.' || c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    NCDRF_CHECK(pos_ > start, "scenario json: expected a number near offset " +
-                                  std::to_string(start));
-    return text_.substr(start, pos_ - start);
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-serve::LoadGenOptions parse_workload(JsonReader& r) {
-  serve::LoadGenOptions w;
-  r.parse_object([&](const std::string& key) {
-    if (key == "seed") {
-      w.seed = r.parse_u64();
-    } else if (key == "num_clients") {
-      w.num_clients = static_cast<int>(r.parse_int());
-    } else if (key == "num_machines") {
-      w.num_machines = static_cast<int>(r.parse_int());
-    } else if (key == "arrival_rate_per_s") {
-      w.arrival_rate_per_s = r.parse_double();
-    } else if (key == "duration_s") {
-      w.duration_s = r.parse_double();
-    } else if (key == "min_flows_per_coflow") {
-      w.min_flows_per_coflow = static_cast<int>(r.parse_int());
-    } else if (key == "max_flows_per_coflow") {
-      w.max_flows_per_coflow = static_cast<int>(r.parse_int());
-    } else if (key == "mean_flow_bits") {
-      w.mean_flow_bits = r.parse_double();
-    } else if (key == "flow_size_sigma") {
-      w.flow_size_sigma = r.parse_double();
-    } else if (key == "burst_factor") {
-      w.burst_factor = r.parse_double();
-    } else if (key == "burst_duty") {
-      w.burst_duty = r.parse_double();
-    } else if (key == "burst_period_s") {
-      w.burst_period_s = r.parse_double();
-    } else if (key == "mean_lifetime_s") {
-      w.mean_lifetime_s = r.parse_double();
-    } else if (key == "sizes_known") {
-      w.sizes_known = r.parse_bool();
-    } else if (key == "weight") {
-      w.weight = r.parse_double();
-    } else {
-      NCDRF_CHECK(false, "scenario json: unknown workload key: " + key);
-    }
-  });
-  return w;
+[[noreturn]] void reject(const std::string& path, const std::string& what) {
+  throw CheckError("scenario json: " + path + ": " + what);
 }
 
-StrategySpec parse_strategy(JsonReader& r) {
-  StrategySpec s;
-  r.parse_object([&](const std::string& key) {
-    if (key == "kind") {
-      s.kind = r.parse_string();
-    } else if (key == "k") {
-      s.k = static_cast<int>(r.parse_int());
-    } else if (key == "factor") {
-      s.factor = static_cast<int>(r.parse_int());
-    } else if (key == "pad") {
-      s.pad = static_cast<int>(r.parse_int());
-    } else if (key == "dust_bits") {
-      s.dust_bits = r.parse_double();
-    } else if (key == "period_s") {
-      s.period_s = r.parse_double();
-    } else if (key == "duty") {
-      s.duty = r.parse_double();
-    } else if (key == "seed") {
-      s.seed = r.parse_u64();
-    } else {
-      NCDRF_CHECK(false, "scenario json: unknown strategy key: " + key);
-    }
-  });
-  return s;
+const JsonObject& object_at(const JsonValue& v, const std::string& path) {
+  if (!v.is_object()) reject(path, "expected an object");
+  return v.object();
 }
 
-FaultKind parse_fault_kind(const std::string& name) {
+double number_at(const JsonValue& v, const std::string& path) {
+  if (!v.is_number()) reject(path, "expected a number");
+  return v.number();
+}
+
+// The whole of `token` as a T: "2.9", "1e9" and out-of-range values are
+// errors, and 64-bit seeds stay exact.
+template <typename T>
+T integer_from(const std::string& token, const std::string& path) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    reject(path, token + " is not an integer in the field's range");
+  }
+  return value;
+}
+
+template <typename T>
+T integer_at(const JsonValue& v, const std::string& path) {
+  if (!v.is_number()) reject(path, "expected an integer");
+  return integer_from<T>(v.number_token(), path);
+}
+
+bool bool_at(const JsonValue& v, const std::string& path) {
+  if (!v.is_bool()) reject(path, "expected true or false");
+  return v.boolean();
+}
+
+const std::string& string_at(const JsonValue& v, const std::string& path) {
+  if (!v.is_string()) reject(path, "expected a string");
+  return v.string();
+}
+
+FaultKind fault_kind_at(const JsonValue& v, const std::string& path) {
   static constexpr FaultKind kKinds[] = {
       FaultKind::kSlaveCrash,     FaultKind::kSlaveRestart,
       FaultKind::kMasterCrash,    FaultKind::kMasterRestart,
       FaultKind::kPartitionStart, FaultKind::kPartitionHeal,
       FaultKind::kLossBurstStart, FaultKind::kLossBurstEnd,
   };
+  const std::string& name = string_at(v, path);
   for (const FaultKind kind : kKinds) {
     if (name == fault_kind_name(kind)) return kind;
   }
-  NCDRF_CHECK(false, "scenario json: unknown fault kind: " + name);
-  return FaultKind::kSlaveCrash;
+  reject(path, "unknown fault kind " + json_quote(name));
 }
 
-FaultEvent parse_fault(JsonReader& r) {
-  FaultEvent e;
-  r.parse_object([&](const std::string& key) {
-    if (key == "time") {
-      e.time = r.parse_double();
-    } else if (key == "kind") {
-      e.kind = parse_fault_kind(r.parse_string());
-    } else if (key == "machine") {
-      e.machine = static_cast<MachineId>(r.parse_int());
-    } else if (key == "loss_probability") {
-      e.loss_probability = r.parse_double();
+// One object member: read(name, field) is false unless the key is `name`,
+// and otherwise reads the value with the reader for the field's type.
+struct Member {
+  const std::string& key;
+  const JsonValue& value;
+  std::string path;
+
+  template <typename T>
+  bool read(const char* name, T& field) const {
+    if (key != name) return false;
+    if constexpr (std::is_same_v<T, bool>) {
+      field = bool_at(value, path);
+    } else if constexpr (std::is_same_v<T, double>) {
+      field = number_at(value, path);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = string_at(value, path);
+    } else if constexpr (std::is_same_v<T, FaultKind>) {
+      field = fault_kind_at(value, path);
     } else {
-      NCDRF_CHECK(false, "scenario json: unknown fault key: " + key);
+      field = integer_at<T>(value, path);
     }
-  });
+    return true;
+  }
+};
+
+serve::LoadGenOptions read_workload(const JsonValue& v,
+                                    const std::string& path) {
+  serve::LoadGenOptions w;
+  for (const auto& [key, value] : object_at(v, path)) {
+    const Member m{key, value, path + '.' + key};
+    if (!(m.read("seed", w.seed) || m.read("num_clients", w.num_clients) ||
+          m.read("num_machines", w.num_machines) ||
+          m.read("arrival_rate_per_s", w.arrival_rate_per_s) ||
+          m.read("duration_s", w.duration_s) ||
+          m.read("min_flows_per_coflow", w.min_flows_per_coflow) ||
+          m.read("max_flows_per_coflow", w.max_flows_per_coflow) ||
+          m.read("mean_flow_bits", w.mean_flow_bits) ||
+          m.read("flow_size_sigma", w.flow_size_sigma) ||
+          m.read("burst_factor", w.burst_factor) ||
+          m.read("burst_duty", w.burst_duty) ||
+          m.read("burst_period_s", w.burst_period_s) ||
+          m.read("mean_lifetime_s", w.mean_lifetime_s) ||
+          m.read("sizes_known", w.sizes_known) ||
+          m.read("weight", w.weight))) {
+      reject(m.path, "unknown key");
+    }
+  }
+  return w;
+}
+
+StrategySpec read_strategy(const JsonValue& v, const std::string& path) {
+  StrategySpec s;
+  for (const auto& [key, value] : object_at(v, path)) {
+    const Member m{key, value, path + '.' + key};
+    if (!(m.read("kind", s.kind) || m.read("k", s.k) ||
+          m.read("factor", s.factor) || m.read("pad", s.pad) ||
+          m.read("dust_bits", s.dust_bits) || m.read("period_s", s.period_s) ||
+          m.read("duty", s.duty) || m.read("seed", s.seed))) {
+      reject(m.path, "unknown key");
+    }
+  }
+  return s;
+}
+
+FaultEvent read_fault(const JsonValue& v, const std::string& path) {
+  FaultEvent e;
+  for (const auto& [key, value] : object_at(v, path)) {
+    const Member m{key, value, path + '.' + key};
+    if (!(m.read("time", e.time) || m.read("kind", e.kind) ||
+          m.read("machine", e.machine) ||
+          m.read("loss_probability", e.loss_probability))) {
+      reject(m.path, "unknown key");
+    }
+  }
   return e;
 }
 
@@ -342,19 +231,19 @@ FaultEvent parse_fault(JsonReader& r) {
 
 std::string to_json(const ScenarioSpec& spec) {
   std::string out = "{";
-  append_field(out, "name", spec.name, true);
-  append_field(out, "policy", spec.policy, true);
-  append_field(out, "link_gbps", fmt(spec.link_gbps), false);
-  append_field(out, "workload", "", false);  // empty value: writer continues
+  append_field(out, "name", json_quote(spec.name));
+  append_field(out, "policy", json_quote(spec.policy));
+  append_field(out, "link_gbps", fmt(spec.link_gbps));
+  append_field(out, "workload", "");  // empty value: writer continues
   append_workload(out, spec.workload);
-  append_field(out, "strategies", "", false);
+  append_field(out, "strategies", "");
   out += '{';
   for (const auto& [client, strategy] : spec.strategies) {
-    append_field(out, std::to_string(client).c_str(), "", false);
+    append_field(out, std::to_string(client).c_str(), "");
     append_strategy(out, strategy);
   }
   out += '}';
-  append_field(out, "faults", "", false);
+  append_field(out, "faults", "");
   out += '[';
   for (std::size_t i = 0; i < spec.faults.events().size(); ++i) {
     if (i > 0) out += ',';
@@ -365,29 +254,40 @@ std::string to_json(const ScenarioSpec& spec) {
 }
 
 ScenarioSpec parse_scenario(const std::string& json) {
+  JsonValue root;
+  if (const std::string err = parse_json(json, &root); !err.empty()) {
+    throw CheckError("scenario json: " + err);
+  }
   ScenarioSpec spec;
-  JsonReader r(json);
-  r.parse_object([&](const std::string& key) {
-    if (key == "name") {
-      spec.name = r.parse_string();
-    } else if (key == "policy") {
-      spec.policy = r.parse_string();
-    } else if (key == "link_gbps") {
-      spec.link_gbps = r.parse_double();
-    } else if (key == "workload") {
-      spec.workload = parse_workload(r);
-    } else if (key == "strategies") {
-      r.parse_object([&](const std::string& client) {
-        spec.strategies[static_cast<int>(
-            std::strtoll(client.c_str(), nullptr, 10))] = parse_strategy(r);
-      });
-    } else if (key == "faults") {
-      r.parse_array([&] { spec.faults.add(parse_fault(r)); });
-    } else {
-      NCDRF_CHECK(false, "scenario json: unknown spec key: " + key);
+  for (const auto& [key, value] : object_at(root, "$")) {
+    const Member m{key, value, "$." + key};
+    if (m.read("name", spec.name) || m.read("policy", spec.policy) ||
+        m.read("link_gbps", spec.link_gbps)) {
+      continue;
     }
-  });
-  r.finish();
+    if (key == "workload") {
+      spec.workload = read_workload(value, m.path);
+    } else if (key == "strategies") {
+      // Keys are client ids; "1" and "01" name the same client.
+      for (const auto& [client, strategy] : object_at(value, m.path)) {
+        const std::string at = m.path + '.' + client;
+        if (!spec.strategies
+                 .emplace(integer_from<int>(client, at),
+                          read_strategy(strategy, at))
+                 .second) {
+          reject(at, "duplicate client");
+        }
+      }
+    } else if (key == "faults") {
+      if (!value.is_array()) reject(m.path, "expected an array");
+      for (std::size_t i = 0; i < value.array().size(); ++i) {
+        spec.faults.add(read_fault(value.array()[i],
+                                   m.path + '[' + std::to_string(i) + ']'));
+      }
+    } else {
+      reject(m.path, "unknown key");
+    }
+  }
   return spec;
 }
 

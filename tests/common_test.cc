@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -202,6 +203,50 @@ TEST(AsciiTableTest, RendersAlignedRows) {
 TEST(AsciiTableTest, RowWidthMismatchThrows) {
   AsciiTable table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), CheckError);
+}
+
+TEST(JsonTest, ParsesIntoTheDom) {
+  JsonValue root;
+  ASSERT_EQ(parse_json(R"({"n": 18446744073709551615, "a": [true, null]})",
+                       &root),
+            "");
+  ASSERT_TRUE(root.is_object());
+  const JsonValue& n = root.object().at("n");
+  ASSERT_TRUE(n.is_number());
+  // The token is kept verbatim: the double alone would round to 2^64.
+  EXPECT_EQ(n.number_token(), "18446744073709551615");
+  EXPECT_EQ(n.number(), 18446744073709551615.0);
+  const JsonArray& a = root.object().at("a").array();
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_TRUE(a[0].is_bool() && a[0].boolean());
+  EXPECT_FALSE(a[1].is_bool() || a[1].is_number() || a[1].is_string());
+}
+
+TEST(JsonTest, DecodesEscapesToUtf8) {
+  JsonValue root;
+  ASSERT_EQ(parse_json(R"("\u00e9\u20ac\ud83d\ude00\n\/")", &root), "");
+  EXPECT_EQ(root.string(), "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\n/");
+  EXPECT_NE(parse_json(R"("\ud83dx")", &root), "");
+  EXPECT_NE(parse_json(R"("\ud83d\u0041")", &root), "");
+  EXPECT_NE(parse_json(R"("\u12g4")", &root), "");
+}
+
+TEST(JsonTest, ErrorsNameTheOffset) {
+  JsonValue root;
+  EXPECT_EQ(parse_json(R"({"a": 1, "a": 2})", &root),
+            "duplicate key \"a\" at offset 12");
+  EXPECT_EQ(parse_json("[1e999]", &root), "number out of range at offset 6");
+}
+
+TEST(JsonTest, QuoteRoundTripsEveryByte) {
+  EXPECT_EQ(json_quote("a\"b\\c\nd\te\x01"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  all.push_back('\0');
+  JsonValue root;
+  ASSERT_EQ(parse_json(json_quote(all), &root), "");
+  EXPECT_EQ(root.string(), all);
 }
 
 }  // namespace

@@ -317,6 +317,16 @@ TEST(JsonLintTest, AcceptsAndRejectsSyntax) {
   EXPECT_NE(obs::validate_json("{\"a\":01}"), "");  // leading zero
   EXPECT_NE(obs::validate_json("{} extra"), "");
   EXPECT_NE(obs::validate_json(""), "");
+  // Nesting is capped at 256 levels instead of exhausting the stack.
+  EXPECT_EQ(obs::validate_json(std::string(256, '[') + std::string(256, ']')),
+            "");
+  EXPECT_NE(obs::validate_json(std::string(257, '[') + std::string(257, ']')),
+            "");
+  EXPECT_NE(obs::validate_json(std::string(100000, '[')), "");
+  EXPECT_NE(obs::validate_json("{\"a\":1,\"a\":2}"), "");  // duplicate key
+  EXPECT_EQ(obs::validate_json("\"\\ud83d\\ude00\""), "");  // surrogate pair
+  EXPECT_NE(obs::validate_json("\"\\ud83d\""), "");  // lone high surrogate
+  EXPECT_NE(obs::validate_json("\"\\ude00\""), "");  // lone low surrogate
 }
 
 TEST(JsonLintTest, ChromeTraceSchemaChecks) {

@@ -1,0 +1,235 @@
+// Seeded robustness harness for the parsers that read outside input:
+// parse_json, parse_scenario and parse_benchmark_trace_string. An in-tree
+// byte mutator (bit flip, insert, delete, splice) derives kMutations
+// documents per target from valid seed documents, and every one must be
+// rejected cleanly or accepted into a value that round-trips:
+//
+//   * parse_json never throws, and returns "" or "<what> at offset N";
+//   * parse_scenario throws nothing but CheckError, and an accepted spec
+//     is a to_json fixed point;
+//   * parse_benchmark_trace_string throws nothing but CheckError, and an
+//     accepted trace has finite positive sizes, in-range endpoints, and a
+//     serialization that parses again to the same coflows and bytes.
+//
+// The mutator is seeded, so a failure reproduces; the failing input is
+// printed JSON-quoted. libFuzzer needs clang, so this stays a plain gtest
+// that runs under the ASan/UBSan build like every other test.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "cluster/faults.h"
+#include "common/check.h"
+#include "common/json.h"
+#include "common/rng.h"
+#include "scenario/spec.h"
+#include "trace/benchmark_format.h"
+#include "trace/trace.h"
+
+namespace ncdrf {
+namespace {
+
+constexpr int kMutations = 20000;
+
+// Bytes the two grammars give meaning to; half of all inserted bytes come
+// from here so mutations often land on structure rather than noise.
+constexpr std::string_view kSyntax = "{}[]:,\"\\/-+.eEtfnu0123456789 \n\t";
+
+class Mutator {
+ public:
+  Mutator(std::vector<std::string> seeds, std::uint64_t seed)
+      : seeds_(std::move(seeds)), rng_(seed) {}
+
+  // One seed document with one to four random edits.
+  std::string next() {
+    std::string doc = seeds_[index(seeds_.size())];
+    const auto edits = rng_.uniform_int(1, 4);
+    for (std::int64_t i = 0; i < edits; ++i) edit(doc);
+    return doc;
+  }
+
+ private:
+  // Uniform in [0, n); 0 when n == 0.
+  std::size_t index(std::size_t n) {
+    if (n == 0) return 0;
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+
+  char byte() {
+    if (rng_.bernoulli(0.5)) return kSyntax[index(kSyntax.size())];
+    return static_cast<char>(rng_.uniform_int(0, 255));
+  }
+
+  void edit(std::string& doc) {
+    switch (rng_.uniform_int(0, 3)) {
+      case 0:  // flip one bit
+        if (!doc.empty()) {
+          doc[index(doc.size())] ^=
+              static_cast<char>(1 << rng_.uniform_int(0, 7));
+        }
+        break;
+      case 1: {  // insert one to four bytes
+        std::string bytes;
+        for (auto n = rng_.uniform_int(1, 4); n > 0; --n) bytes += byte();
+        doc.insert(index(doc.size() + 1), bytes);
+        break;
+      }
+      case 2:  // delete a span of up to eight bytes
+        if (!doc.empty()) {
+          const std::size_t at = index(doc.size());
+          doc.erase(at, static_cast<std::size_t>(rng_.uniform_int(1, 8)));
+        }
+        break;
+      default: {  // splice a chunk of another seed over a span of this one
+        const std::string& other = seeds_[index(seeds_.size())];
+        const std::size_t from = index(other.size());
+        const std::string chunk = other.substr(
+            from, static_cast<std::size_t>(rng_.uniform_int(1, 32)));
+        const std::size_t at = index(doc.size() + 1);
+        doc.replace(at, static_cast<std::size_t>(rng_.uniform_int(0, 8)),
+                    chunk);
+        break;
+      }
+    }
+  }
+
+  std::vector<std::string> seeds_;
+  Rng rng_;
+};
+
+scenario::ScenarioSpec full_spec() {
+  scenario::ScenarioSpec spec;
+  spec.name = "robust \"seed\"\n\xc3\xa9";
+  spec.policy = "karma";
+  spec.link_gbps = 0.5;
+  spec.workload.seed = 18446744073709551615ull;
+  spec.workload.num_clients = 3;
+  spec.workload.num_machines = 8;
+  spec.workload.sizes_known = true;
+  scenario::StrategySpec splitter;
+  splitter.kind = "flow-splitter";
+  splitter.k = 3;
+  spec.strategies[0] = splitter;
+  scenario::StrategySpec padder;
+  padder.kind = "dust-padder";
+  padder.dust_bits = 1.5e3;
+  padder.seed = 7;
+  spec.strategies[2] = padder;
+  spec.faults.crash_slave(0.25, 3).restart_slave(0.5, 3).loss_burst(1.0, 2.0,
+                                                                    0.25);
+  return spec;
+}
+
+TEST(RobustParse, JsonRejectsWithAnOffsetOrAccepts) {
+  Mutator mutator(
+      {scenario::to_json(full_spec()),
+       R"({"counters":{"a":1},"gauges":{"g":-2.5e-3},"histograms":{}})",
+       R"([[[[{"k":[null,true,false,"é😀\/\b\f\r"]}]]]])",
+       R"({"n":[0,-0,1.5E+3,18446744073709551615,-1e-300]})"},
+      20180701);
+  int accepted = 0;
+  for (int i = 0; i < kMutations && !::testing::Test::HasFailure(); ++i) {
+    const std::string doc = mutator.next();
+    JsonValue root;
+    std::string err;
+    try {
+      err = parse_json(doc, &root);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "parse_json threw " << e.what() << " on "
+                    << json_quote(doc);
+      continue;
+    }
+    if (err.empty()) {
+      ++accepted;
+    } else {
+      EXPECT_NE(err.find(" at offset "), std::string::npos)
+          << err << " on " << json_quote(doc);
+    }
+  }
+  // Not only rejections: the harness must reach the accepting paths too.
+  EXPECT_GT(accepted, kMutations / 100);
+}
+
+TEST(RobustParse, ScenarioSpecRejectsOrRoundTrips) {
+  Mutator mutator(
+      {scenario::to_json(full_spec()),
+       scenario::to_json(scenario::ScenarioSpec{}),
+       R"({"name":"s","workload":{"num_clients":2,"sizes_known":false},)"
+       R"("strategies":{"1":{"kind":"honest","seed":3}},)"
+       R"("faults":[{"time":1,"kind":"master_crash"}]})",
+       "{}"},
+      7);
+  int accepted = 0;
+  for (int i = 0; i < kMutations && !::testing::Test::HasFailure(); ++i) {
+    const std::string doc = mutator.next();
+    scenario::ScenarioSpec spec;
+    try {
+      spec = scenario::parse_scenario(doc);
+    } catch (const CheckError&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "parse_scenario threw " << e.what() << " on "
+                    << json_quote(doc);
+      continue;
+    }
+    ++accepted;
+    const std::string json = scenario::to_json(spec);
+    std::string again;
+    EXPECT_NO_THROW(again = scenario::to_json(scenario::parse_scenario(json)))
+        << json_quote(doc);
+    EXPECT_EQ(again, json) << json_quote(doc);
+  }
+  EXPECT_GT(accepted, kMutations / 100);
+}
+
+TEST(RobustParse, BenchmarkTraceRejectsOrRoundTrips) {
+  Mutator mutator({"4 2\n1 0 2 1 2 2 3:10 4:5.5\n2 100 1 3 1 1:20\n",
+                   "3 1\n7 12.5 1 0 2 1:0.25 2:1e-3\n",
+                   "150 3\n1 0 1 150 1 1:1\n2 5 3 1 2 3 1 4:64\n"
+                   "3 9 1 9 2 10:2 11:3\n"},
+                  31);
+  int accepted = 0;
+  for (int i = 0; i < kMutations && !::testing::Test::HasFailure(); ++i) {
+    const std::string doc = mutator.next();
+    Trace trace;
+    try {
+      trace = parse_benchmark_trace_string(doc);
+    } catch (const CheckError&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "parse_benchmark_trace threw " << e.what() << " on "
+                    << json_quote(doc);
+      continue;
+    }
+    ++accepted;
+    for (const Coflow& c : trace.coflows) {
+      for (const Flow& f : c.flows()) {
+        EXPECT_TRUE(std::isfinite(f.size_bits) && f.size_bits > 0.0)
+            << json_quote(doc);
+        EXPECT_TRUE(f.src >= 0 && f.src < trace.num_machines &&
+                    f.dst >= 0 && f.dst < trace.num_machines)
+            << json_quote(doc);
+      }
+    }
+    Trace again;
+    EXPECT_NO_THROW(
+        again = parse_benchmark_trace_string(serialize_benchmark_trace(trace)))
+        << json_quote(doc);
+    EXPECT_EQ(again.num_machines, trace.num_machines) << json_quote(doc);
+    EXPECT_EQ(again.coflows.size(), trace.coflows.size()) << json_quote(doc);
+    EXPECT_NEAR(again.total_bits(), trace.total_bits(),
+                1e-9 * trace.total_bits())
+        << json_quote(doc);
+  }
+  EXPECT_GT(accepted, kMutations / 100);
+}
+
+}  // namespace
+}  // namespace ncdrf

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/units.h"
 #include "core/registry.h"
 #include "scenario/eval.h"
@@ -237,15 +239,59 @@ TEST(ScenarioSpecJson, RoundTripsExactly) {
     EXPECT_EQ(parsed.faults.events()[i].machine,
               spec.faults.events()[i].machine);
   }
+
+  // Seeds above 2^53 stay exact; a name with a newline, a quote and UTF-8
+  // comes back byte for byte, written as valid JSON.
+  const std::uint64_t max_seed = std::numeric_limits<std::uint64_t>::max();
+  spec.workload.seed = max_seed;
+  spec.strategies[2].seed = max_seed;
+  spec.name = "line\nbreak \"q\" \xc3\xa9";
+  const std::string exotic = to_json(spec);
+  JsonValue document;
+  EXPECT_EQ(parse_json(exotic, &document), "");
+  const ScenarioSpec reparsed = scenario::parse_scenario(exotic);
+  EXPECT_EQ(to_json(reparsed), exotic);
+  EXPECT_EQ(reparsed.workload.seed, max_seed);
+  EXPECT_EQ(reparsed.strategies.at(2).seed, max_seed);
+  EXPECT_EQ(reparsed.name, spec.name);
 }
 
-TEST(ScenarioSpecJson, RejectsUnknownKeys) {
+TEST(ScenarioSpecJson, RejectsMalformedSpecs) {
   EXPECT_THROW(scenario::parse_scenario("{\"policy\": \"ncdrf\", "
                                         "\"polciy\": \"typo\"}"),
                CheckError);
   EXPECT_THROW(scenario::parse_scenario("{\"faults\": [{\"kind\": "
                                         "\"warp_core_breach\"}]}"),
                CheckError);
+  // Values a field cannot hold exactly, text that is not JSON, and keys
+  // that do not name one client.
+  for (const char* doc : {
+           R"({"workload": {"num_clients": 1e9}})",
+           R"({"workload": {"num_clients": 2.9}})",
+           R"({"workload": {"num_clients": 99999999999}})",
+           R"({"workload": {"seed": -1}})",
+           R"({"link_gbps": 1.2.3})",
+           R"({"link_gbps": 1e999})",
+           R"({"link_gbps": +1})",
+           R"({"link_gbps": e})",
+           "{\"name\": \"a\nb\"}",  // raw newline inside a string
+           R"({"policy": "drf", "policy": "ncdrf"})",
+           R"({"strategies": {"abc": {"kind": "honest"}}})",
+           R"({"strategies": {"1": {}, "01": {}}})",
+       }) {
+    EXPECT_THROW(scenario::parse_scenario(doc), CheckError) << doc;
+  }
+  // The escape \n is a newline, not the letter n.
+  EXPECT_EQ(scenario::parse_scenario(R"({"name": "a\nb"})").name, "a\nb");
+  // Errors name the offending member's path.
+  try {
+    scenario::parse_scenario(R"({"workload": {"num_clients": 2.9}})");
+    ADD_FAILURE() << "2.9 clients accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("$.workload.num_clients"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // -------------------------------------------------------------------

@@ -10,10 +10,12 @@
 //   * the registry's "@N" suffix, SchedPerf shard counters, SimOptions
 //     reconcile forwarding, and the Theorem 1 envelope with a sharded
 //     clairvoyant-DRF baseline.
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -522,6 +524,8 @@ TEST(ShardRegistry, RejectsMalformedOrUnsupportedSuffixes) {
   EXPECT_THROW(make_scheduler("drf@x4"), CheckError);
   EXPECT_THROW(make_scheduler("drf@0"), CheckError);
   EXPECT_THROW(make_scheduler("@4"), CheckError);
+  EXPECT_THROW(make_scheduler("drf@99999999999"), CheckError);  // overflow
+  EXPECT_THROW(make_scheduler("drf@+4"), CheckError);
   // NC-DRF has no sharded path.
   EXPECT_THROW(make_scheduler("ncdrf@4"), CheckError);
   EXPECT_THROW(make_scheduler("ncdrf-live@2"), CheckError);
@@ -529,6 +533,32 @@ TEST(ShardRegistry, RejectsMalformedOrUnsupportedSuffixes) {
   two.shards = 2;
   EXPECT_THROW(make_scheduler("ncdrf", two), CheckError);
   EXPECT_NE(make_scheduler("drf@2"), nullptr);
+}
+
+TEST(ShardRegistry, PoolThreadsAreClampedToHardware) {
+  // 64 shards on a 64-machine fabric: every shard still runs, on at most
+  // one worker per hardware thread, and the shard-local trace allocates
+  // as the serial path does (drf agrees to fp noise, see kNearPolicies).
+  const Fabric fabric(64, gbps(1.0));
+  const Trace trace = grouped_trace(fabric, 64, 37, 20, 3, 1.0);
+  const Snapshot snap = snapshot_all_active(fabric, trace, true);
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const ShardRuntime runtime(64);
+  EXPECT_EQ(runtime.num_shards(), 64);
+  EXPECT_EQ(runtime.num_threads(), std::min(64, hardware));
+
+  const auto sharded = make_scheduler("drf@64");
+  const Allocation rates = sharded->allocate(snap.input);
+  const Allocation serial = run_alloc("drf", 1, snap);
+  EXPECT_GT(sharded->perf_counters()->shard_regions, 0);
+  for (const ActiveCoflow& c : snap.input.coflows) {
+    for (const ActiveFlow& f : c.flows) {
+      EXPECT_NEAR(rates.rate(f.id), serial.rate(f.id),
+                  1e-9 * std::max(serial.rate(f.id), 1.0))
+          << "flow " << f.id;
+    }
+  }
 }
 
 TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {

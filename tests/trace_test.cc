@@ -188,6 +188,14 @@ TEST(BenchmarkFormat, ZeroBasedInputRoundTrips) {
   }
 }
 
+TEST(BenchmarkFormat, AcceptsTheLargestRackCount) {
+  // No rack bookkeeping may overflow at INT_MAX racks.
+  const Trace trace =
+      parse_benchmark_trace_string("2147483647 1\n1 0 1 1 1 2:10\n");
+  EXPECT_EQ(trace.num_machines, 2147483647);
+  ASSERT_EQ(trace.coflows.size(), 1u);
+}
+
 TEST(BenchmarkFormat, RejectsMalformedInput) {
   EXPECT_THROW(parse_benchmark_trace_string(""), CheckError);
   EXPECT_THROW(parse_benchmark_trace_string("4"), CheckError);
@@ -217,6 +225,27 @@ TEST(BenchmarkFormat, RejectsMalformedInput) {
                CheckError);
   // Negative arrival time.
   EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 -5 1 1 1 2:10\n"),
+               CheckError);
+  // An infinite flow, and sizes or racks that are only a token's prefix.
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:inf\n"),
+               CheckError);
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:5abc\n"),
+               CheckError);
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:0x10\n"),
+               CheckError);
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 2x 1 2:10\n"),
+               CheckError);
+  // Coflows after the declared count.
+  EXPECT_THROW(
+      parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:10\n2 0 1 1 1 2:10\n"),
+      CheckError);
+  // Negative racks (rack - base must not overflow).
+  EXPECT_THROW(
+      parse_benchmark_trace_string("4 1\n1 0 1 -2147483648 1 2:10\n"),
+      CheckError);
+  // A huge declared count with one coflow behind it fails on the missing
+  // lines, without allocating for the count.
+  EXPECT_THROW(parse_benchmark_trace_string("1 2000000000\n1 0 1 1 1 1:10\n"),
                CheckError);
 }
 
