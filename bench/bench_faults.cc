@@ -6,9 +6,10 @@
 // inflation versus the fault-free run, fault-to-repair reallocation
 // latency, and the message overhead of the recovery machinery.
 //
-// `--json` additionally emits one newline-delimited JSON object per run
-// (metrics/export.h:write_deployment_json) for the CI bench-smoke
-// artifact. `--trace-dir <dir>` writes one Chrome trace-event file and one
+// `--json` emits one newline-delimited JSON object per run
+// (metrics/export.h:write_deployment_json) on stdout for the CI
+// bench-smoke artifact, and moves the banner and table to stderr.
+// `--trace-dir <dir>` writes one Chrome trace-event file and one
 // metrics-registry JSON per churn level (virtual-clock timestamps, so two
 // runs produce byte-identical files — CI pins that).
 #include <cstring>
@@ -34,9 +35,13 @@ int main(int argc, char** argv) {
       trace_dir = argv[++i];
     }
   }
+  // Under --json stdout carries NDJSON only; the human report goes to
+  // stderr.
+  std::ostream& report = json ? std::cerr : std::cout;
   bench::print_header(
       "Fault injection — reallocation latency and CCT inflation under churn",
-      "the control plane survives crashes/partitions with bounded slowdown");
+      "the control plane survives crashes/partitions with bounded slowdown",
+      report);
 
   MicrobenchOptions trace_options;
   trace_options.min_flow_bits = 8.0 * 10e6;  // scaled down for bench speed
@@ -117,6 +122,6 @@ int main(int argc, char** argv) {
                             level.label);
     }
   }
-  std::cout << table.render();
+  report << table.render();
   return 0;
 }

@@ -96,13 +96,12 @@ inline std::map<std::string, RunResult> run_policies(
 }
 
 inline void print_header(const std::string& experiment,
-                         const std::string& paper_claim) {
-  std::cout << "==============================================================="
-               "=\n"
-            << experiment << "\n"
-            << "paper: " << paper_claim << "\n"
-            << "==============================================================="
-               "=\n";
+                         const std::string& paper_claim,
+                         std::ostream& out = std::cout) {
+  out << "================================================================\n"
+      << experiment << "\n"
+      << "paper: " << paper_claim << "\n"
+      << "================================================================\n";
 }
 
 }  // namespace ncdrf::bench

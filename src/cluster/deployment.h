@@ -1,16 +1,24 @@
 // Deployment: the wired-up master/slave cluster emulation — the stand-in
 // for the paper's 60-node EC2 testbed (Sec. V-B; DESIGN.md substitutions).
 //
-// Discrete-time loop with tick `tick_s`:
-//   1. coflows whose arrival time has come register with the master over
-//      the bus (one-way `control_latency_s`);
+// The bytes move in the simulator engine (sim/engine.h), the same fluid
+// integrator simulate() and the serve plane run on; its remaining bits
+// are the ground truth, which survives slave crashes and master restarts.
+// The control plane runs on a grid of ticks `tick_s` apart, where the
+// engine stops on every tick:
+//   1. scripted faults fire;
 //   2. due messages are delivered (registrations / finish reports /
 //      heartbeats to the master, rate updates to slaves);
-//   3. if the master's view changed, it reallocates and pushes rates;
-//   4. slaves send at their enforced rates; physical uplink/downlink
-//      contention scales concurrent senders down proportionally (rates can
-//      transiently oversubscribe because the master's view is stale);
-//   5. finished flows are reported back; per-coflow progress is sampled.
+//   3. the master declares silent slaves dead and, if its view changed or
+//      the refresh is due, reallocates and pushes rates;
+//   4. slaves heartbeat their attained service (size − remaining);
+//   5. per-coflow progress is sampled at the realized rates.
+// Between ticks every live slave sends at its enforced rates; the engine's
+// capacity clamp scales concurrent senders on an oversubscribed port down
+// proportionally (rates can transiently oversubscribe because the
+// master's view is stale). Arrivals register with the master over the bus
+// (one-way `control_latency_s`) and finished flows are reported at their
+// exact engine instants.
 //
 // The paper's observables fall out: Fig. 7's CCTs and Fig. 8's progress
 // curves, under any Scheduler.
@@ -29,25 +37,15 @@ namespace scenario {
 class WorkloadSource;
 }  // namespace scenario
 
-// How Fig. 8-style progress samples normalize the per-link allocation
-// (Eq. 1's correlation vector):
-//   kOriginalDemand  — the coflow's static correlation from full demand,
-//                      restricted to links with data left (bounded, used
-//                      for disparity-style comparisons);
-//   kRemainingDemand — the instantaneous correlation from remaining
-//                      demand (the attainable rate of the slowest
-//                      remaining part; what "equal progress" means at an
-//                      instant).
-enum class ProgressNormalization { kOriginalDemand, kRemainingDemand };
-
 struct DeploymentOptions {
-  double tick_s = 0.01;             // enforcement quantum (10 ms)
+  double tick_s = 0.01;             // control-plane tick (10 ms)
   double control_latency_s = 0.005; // one-way master<->slave latency
   double heartbeat_period_s = 0.1;
   double progress_sample_period_s = 0.25;  // Fig. 8 sampling
+  // Fig. 8 progress (Eq. 1) normalizes each sample by the correlation of
+  // the coflow's remaining demand: the attainable rate of its slowest
+  // remaining part, what "equal progress" means at an instant.
   bool record_progress = true;
-  ProgressNormalization progress_normalization =
-      ProgressNormalization::kRemainingDemand;
   double max_time_s = 36000.0;
 
   // Failure injection: best-effort control messages (rate updates,
@@ -100,11 +98,11 @@ struct DeploymentResult {
 };
 
 // Runs `source` on an emulated cluster of fabric.num_machines() machines
-// under `scheduler` — the scenario-spine entry point. Submissions are
-// pulled as simulated time reaches them (client → tenant attribution);
-// sizes are registered with the master only when the scheduler is
-// clairvoyant. The source must stream dense coflow/flow ids (the
-// WorkloadSource contract).
+// under `scheduler` — the scenario-spine entry point. Every submission is
+// handed to the engine up front and arrives at its submit time (client →
+// tenant attribution); sizes are registered with the master only when the
+// scheduler is clairvoyant. The source must stream dense coflow/flow ids
+// (the WorkloadSource contract).
 DeploymentResult run_deployment(const Fabric& fabric,
                                 scenario::WorkloadSource& source,
                                 Scheduler& scheduler,

@@ -35,17 +35,20 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
   state.weight = msg.weight;
   state.tenant = msg.tenant;
   state.sizes_known = msg.sizes_known;
-  for (const Flow& f : msg.flows) {
-    NCDRF_CHECK(!flow_states_.contains(f.id), "duplicate flow registration");
-    flow_states_[f.id] = FlowState{f, false, 0.0};
-    state.flows.push_back(f.id);
-  }
-  for (const Flow& f : msg.finished_flows) {
-    NCDRF_CHECK(!flow_states_.contains(f.id), "duplicate flow registration");
+  // All or nothing: an id that is already registered, or repeated within
+  // the message, rolls back this message's flows before the throw, so a
+  // rejected registration leaves the view exactly as it was.
+  const auto add = [&](const Flow& f, bool finished) {
     // Already delivered in full: attained equals the (observable) size.
-    flow_states_[f.id] = FlowState{f, true, f.size_bits};
+    const FlowState fs{f, finished, finished ? f.size_bits : 0.0};
+    if (!flow_states_.try_emplace(f.id, fs).second) {
+      for (const FlowId added : state.flows) flow_states_.erase(added);
+      NCDRF_CHECK(false, "duplicate flow registration");
+    }
     state.flows.push_back(f.id);
-  }
+  };
+  for (const Flow& f : msg.flows) add(f, false);
+  for (const Flow& f : msg.finished_flows) add(f, true);
   unfinished_[msg.coflow] = static_cast<int>(msg.flows.size());
   if (msg.flows.empty()) ++retirable_;  // everything already delivered
   if (msg.trace_id != 0) {

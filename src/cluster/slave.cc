@@ -16,7 +16,7 @@ void Slave::add_flow(const Flow& flow) {
   NCDRF_CHECK(flow.src == machine_, "flow does not originate here");
   NCDRF_CHECK(flow.size_bits > 0.0, "flow size must be positive");
   NCDRF_CHECK(!flows_.contains(flow.id), "duplicate local flow");
-  flows_[flow.id] = LocalFlow{flow, flow.size_bits, 0.0, 0.0};
+  flows_[flow.id] = LocalFlow{flow};
 }
 
 void Slave::crash() {
@@ -25,20 +25,16 @@ void Slave::crash() {
   next_heartbeat_ = 0.0;
 }
 
-void Slave::restore_flow(const Flow& flow, double remaining_bits,
-                         double attained_bits) {
-  NCDRF_CHECK(flow.src == machine_, "flow does not originate here");
-  NCDRF_CHECK(remaining_bits > 0.0 && attained_bits >= 0.0,
-              "restore needs positive remaining service");
-  NCDRF_CHECK(!flows_.contains(flow.id), "duplicate local flow");
-  flows_[flow.id] = LocalFlow{flow, remaining_bits, attained_bits, 0.0};
-}
-
 void Slave::note_finished(FlowId flow) {
   if (std::find(finished_ids_.begin(), finished_ids_.end(), flow) ==
       finished_ids_.end()) {
     finished_ids_.push_back(flow);
   }
+}
+
+void Slave::finish_flow(FlowId flow) {
+  NCDRF_CHECK(flows_.erase(flow) == 1, "finish for unknown local flow");
+  note_finished(flow);
 }
 
 void Slave::on_rate_update(const RateUpdateMsg& msg) {
@@ -62,53 +58,38 @@ std::vector<std::pair<FlowId, double>> Slave::desired_rates() const {
   return out;
 }
 
-bool Slave::commit_transfer(FlowId flow, double bits) {
-  auto it = flows_.find(flow);
-  NCDRF_CHECK(it != flows_.end(), "transfer for unknown local flow");
-  NCDRF_CHECK(bits >= 0.0, "transfer must be non-negative");
-  LocalFlow& lf = it->second;
-  lf.remaining_bits -= bits;
-  lf.attained_bits += bits;
-  if (lf.remaining_bits <= 1.0) {  // fluid-model completion epsilon
-    note_finished(flow);
-    flows_.erase(it);
-    return true;
-  }
-  return false;
-}
-
-double Slave::remaining_bits(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? 0.0 : it->second.remaining_bits;
-}
-
 std::uint64_t Slave::trace_id(FlowId flow) const {
   const auto it = flows_.find(flow);
   return it == flows_.end() ? 0 : it->second.trace_id;
 }
 
-HeartbeatMsg Slave::build_heartbeat() const {
+HeartbeatMsg Slave::build_heartbeat(const ClairvoyantInfo* remaining) const {
   HeartbeatMsg msg;
   msg.machine = machine_;
-  msg.attained_bits.reserve(flows_.size());
-  for (const auto& [id, lf] : flows_) {
-    msg.attained_bits.emplace_back(id, lf.attained_bits);
+  if (remaining != nullptr) {
+    msg.attained_bits.reserve(flows_.size());
+    for (const auto& [id, lf] : flows_) {
+      msg.attained_bits.emplace_back(
+          id, lf.flow.size_bits - remaining->remaining_bits(id));
+    }
   }
   msg.finished_flows = finished_ids_;
   return msg;
 }
 
-bool Slave::maybe_heartbeat(double now, SimBus& bus) {
+bool Slave::maybe_heartbeat(double now, SimBus& bus,
+                            const ClairvoyantInfo* remaining) {
   if (now + 1e-12 < next_heartbeat_) return false;
   next_heartbeat_ = now + heartbeat_period_;
   if (flows_.empty() && finished_ids_.empty()) return false;
-  bus.send_unreliable(now, master_address(), build_heartbeat());
+  bus.send_unreliable(now, master_address(), build_heartbeat(remaining));
   return true;
 }
 
-void Slave::heartbeat_now(double now, SimBus& bus) {
+void Slave::heartbeat_now(double now, SimBus& bus,
+                          const ClairvoyantInfo* remaining) {
   next_heartbeat_ = now + heartbeat_period_;
-  bus.send(now, master_address(), build_heartbeat());
+  bus.send(now, master_address(), build_heartbeat(remaining));
 }
 
 }  // namespace ncdrf

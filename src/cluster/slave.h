@@ -2,10 +2,12 @@
 //
 // Each slave owns the flows originating at its machine. It applies the
 // master's last RateUpdate as a token-bucket egress shaper per flow (the
-// tc/htb stand-in), advances transfers in discrete ticks, reports attained
-// service in periodic heartbeats, and reports flow completions. A flow
-// whose rate the master has not yet assigned sends nothing — exactly the
-// registration-to-first-allocation gap of the real prototype.
+// tc/htb stand-in), reports attained service in periodic heartbeats, and
+// reports flow completions. A flow whose rate the master has not yet
+// assigned sends nothing — exactly the registration-to-first-allocation
+// gap of the real prototype. The bytes themselves move in the deployment's
+// data plane (the simulator engine); the slave reads its attained service
+// from there when it heartbeats.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 
 #include "cluster/bus.h"
 #include "coflow/flow.h"
+#include "sched/scheduler.h"
 
 namespace ncdrf {
 
@@ -23,35 +26,30 @@ class Slave {
 
   MachineId machine() const { return machine_; }
 
-  // Starts enforcing a newly arrived local flow (remaining = full size).
+  // Starts enforcing a local flow: a new arrival, or an unfinished flow
+  // reinstalled after a restart. The rate starts at 0 until the master's
+  // next RateUpdate.
   void add_flow(const Flow& flow);
 
   // Daemon death: every local shaper and its state vanish. The deployment
-  // (standing in for the machine's data on disk) resyncs via restore_flow
-  // and note_finished when the daemon comes back.
+  // (standing in for the machine's data on disk) resyncs via add_flow and
+  // note_finished when the daemon comes back.
   void crash();
-
-  // Reinstalls a flow after a restart with its true remaining/attained
-  // service. The rate starts at 0 until the master's next RateUpdate.
-  void restore_flow(const Flow& flow, double remaining_bits,
-                    double attained_bits);
 
   // Records a locally finished flow id so heartbeats keep repeating it —
   // the repair channel for lost FlowFinished reports.
   void note_finished(FlowId flow);
 
+  // A local flow delivered its last byte: stop shaping it and advertise
+  // it as finished (caller reports FlowFinished).
+  void finish_flow(FlowId flow);
+
   void on_rate_update(const RateUpdateMsg& msg);
 
-  // The rate the shaper would send at this tick for each live local flow:
-  // (flow, desired rate). The deployment applies physical link contention
-  // on top and calls commit_transfer with the realized bytes.
+  // The rate the shaper sends at for each live local flow: (flow, desired
+  // rate). The data plane applies physical link contention on top.
   std::vector<std::pair<FlowId, double>> desired_rates() const;
 
-  // Applies `bits` of realized transfer to a flow over one tick; returns
-  // true if the flow just finished (caller reports FlowFinished).
-  bool commit_transfer(FlowId flow, double bits);
-
-  double remaining_bits(FlowId flow) const;
   // The causal trace id delivered with the flow's last RateUpdate (0 =
   // untraced or no update yet) — the telemetry plane's proof that a
   // submission's span made it all the way to the enforcement point.
@@ -60,22 +58,25 @@ class Slave {
 
   // Emits a heartbeat if one is due at `now`; returns whether one was
   // actually sent (a due beat with nothing to report stays silent).
-  bool maybe_heartbeat(double now, SimBus& bus);
+  // Attained service per live flow is its size minus `remaining` (the
+  // data plane's ground truth); with no byte counters attached (null) the
+  // beat carries liveness and the finished list only.
+  bool maybe_heartbeat(double now, SimBus& bus,
+                       const ClairvoyantInfo* remaining = nullptr);
 
   // Emits a heartbeat immediately (reliably) and resets the schedule —
   // the announce-yourself message after a restart or partition heal.
-  void heartbeat_now(double now, SimBus& bus);
+  void heartbeat_now(double now, SimBus& bus,
+                     const ClairvoyantInfo* remaining);
 
  private:
   struct LocalFlow {
     Flow flow;
-    double remaining_bits = 0.0;
-    double attained_bits = 0.0;
     double rate_bps = 0.0;  // 0 until the first RateUpdate arrives
     std::uint64_t trace_id = 0;  // from the last traced RateUpdate
   };
 
-  HeartbeatMsg build_heartbeat() const;
+  HeartbeatMsg build_heartbeat(const ClairvoyantInfo* remaining) const;
 
   MachineId machine_;
   double heartbeat_period_;

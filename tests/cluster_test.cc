@@ -58,10 +58,29 @@ TEST(Slave, EnforcesRatesAndReportsCompletion) {
   slave.on_rate_update(update);
   EXPECT_DOUBLE_EQ(slave.desired_rates()[0].second, mbps(100.0));
 
-  EXPECT_FALSE(slave.commit_transfer(7, megabits(4.0)));
-  EXPECT_DOUBLE_EQ(slave.remaining_bits(7), megabits(6.0));
-  EXPECT_TRUE(slave.commit_transfer(7, megabits(6.0)));
+  // Heartbeats report attained service as size − remaining, read from the
+  // data plane's byte counters.
+  std::vector<double> remaining(8, 0.0);
+  remaining[7] = megabits(6.0);
+  const ClairvoyantInfo counters(&remaining);
+  SimBus bus(0.0);
+  slave.heartbeat_now(0.0, bus, &counters);
+  const auto beat = bus.deliver_due(0.0);
+  ASSERT_EQ(beat.size(), 1u);
+  const auto& hb = std::get<HeartbeatMsg>(beat[0].payload);
+  ASSERT_EQ(hb.attained_bits.size(), 1u);
+  EXPECT_EQ(hb.attained_bits[0].first, 7);
+  EXPECT_DOUBLE_EQ(hb.attained_bits[0].second, megabits(4.0));
+
+  // Completion: the flow stops sending and later beats re-advertise it.
+  slave.finish_flow(7);
   EXPECT_EQ(slave.live_flows(), 0);
+  EXPECT_TRUE(slave.desired_rates().empty());
+  EXPECT_TRUE(slave.maybe_heartbeat(1.0, bus, &counters));
+  const auto repair = bus.deliver_due(1.0);
+  ASSERT_EQ(repair.size(), 1u);
+  EXPECT_EQ(std::get<HeartbeatMsg>(repair[0].payload).finished_flows,
+            std::vector<FlowId>{7});
 }
 
 TEST(Slave, IgnoresStaleRateUpdates) {
@@ -126,6 +145,50 @@ TEST(Master, FlowFinishRetiresCoflow) {
   EXPECT_EQ(master.active_coflows(), 1);
   master.on_flow_finished(FlowFinishedMsg{1, 0, 2.0});
   EXPECT_EQ(master.active_coflows(), 0);
+}
+
+TEST(Master, RejectedRegistrationLeavesTheViewUnchanged) {
+  // A registration reusing a live flow id throws before committing any
+  // of its flows, so the corrected retry is accepted, not ignored as a
+  // replay of a half-registered coflow.
+  const Fabric fabric(2, mbps(200.0));
+  NcDrfScheduler ncdrf;
+  Master master(fabric, ncdrf);
+  RegisterCoflowMsg first;
+  first.coflow = 0;
+  first.flows.push_back(Flow{0, 0, 0, 1, 0.0});
+  master.on_register(first);
+  SimBus bus(0.0);
+  master.reallocate(0.0, bus);
+  ASSERT_FALSE(master.dirty());
+
+  RegisterCoflowMsg clash;
+  clash.coflow = 1;
+  clash.flows.push_back(Flow{5, 1, 1, 0, 0.0});
+  clash.flows.push_back(Flow{0, 1, 1, 0, 0.0});  // live id of coflow 0
+  EXPECT_THROW(master.on_register(clash), CheckError);
+  EXPECT_EQ(master.active_coflows(), 1);
+  EXPECT_FALSE(master.dirty());
+
+  RegisterCoflowMsg repeat;  // an id repeated within one message
+  repeat.coflow = 1;
+  repeat.flows.push_back(Flow{6, 1, 1, 0, 0.0});
+  repeat.flows.push_back(Flow{6, 1, 1, 0, 0.0});
+  EXPECT_THROW(master.on_register(repeat), CheckError);
+  EXPECT_EQ(master.active_coflows(), 1);
+  EXPECT_FALSE(master.dirty());
+
+  RegisterCoflowMsg fixed;
+  fixed.coflow = 1;
+  fixed.flows.push_back(Flow{5, 1, 1, 0, 0.0});
+  fixed.flows.push_back(Flow{6, 1, 1, 0, 0.0});
+  master.on_register(fixed);
+  EXPECT_EQ(master.registrations_ignored(), 0);
+  EXPECT_EQ(master.active_coflows(), 2);
+
+  // Coflow 0's flow is untouched: still live, and its finish retires it.
+  master.on_flow_finished(FlowFinishedMsg{0, 0, 1.0});
+  EXPECT_EQ(master.active_coflows(), 1);
 }
 
 TEST(Deployment, SingleFlowMatchesAnalyticCct) {

@@ -456,16 +456,32 @@ TEST(CrossPlaneEquivalence, HoldsUnderStrategicTenants) {
 }
 
 TEST(CrossPlaneEquivalence, DeploymentRunsTheSameSpec) {
-  ScenarioSpec spec = small_spec("ncdrf", 13);
-  spec.faults.crash_slave(0.2, 2).restart_slave(0.3, 2);
-  DeploymentOptions options;
-  options.tick_s = 0.005;
-  const DeploymentResult result = scenario::run_on_deployment(spec, options);
-  const ScenarioRun sim = scenario::run_on_sim(spec);
-  ASSERT_EQ(result.coflows.size(), sim.result.coflows.size());
-  EXPECT_EQ(result.fault_counters.slave_crashes, 1);
-  for (const CoflowRecord& rec : result.coflows) {
-    EXPECT_GT(rec.completion, 0.0);
+  // The deployment's bytes move in the engine, so strategic tenants (a
+  // flow-splitter's same-instant slices, a dust-padder's tiny flows) and
+  // a slave crash/restart must still complete every coflow no faster
+  // than physics allows.
+  for (const std::string policy : {"ncdrf", "karma"}) {
+    ScenarioSpec spec = small_spec(policy, 13);
+    StrategySpec splitter;
+    splitter.kind = "flow-splitter";
+    spec.strategies[0] = splitter;
+    StrategySpec padder;
+    padder.kind = "dust-padder";
+    spec.strategies[1] = padder;
+    spec.faults.crash_slave(0.2, 2).restart_slave(0.3, 2);
+    DeploymentOptions options;
+    options.tick_s = 0.005;
+    const DeploymentResult result =
+        scenario::run_on_deployment(spec, options);
+    const ScenarioRun sim = scenario::run_on_sim(spec);
+    ASSERT_EQ(result.coflows.size(), sim.result.coflows.size()) << policy;
+    EXPECT_EQ(result.fault_counters.slave_crashes, 1) << policy;
+    EXPECT_EQ(result.fault_counters.slave_restarts, 1) << policy;
+    for (const CoflowRecord& rec : result.coflows) {
+      EXPECT_GT(rec.completion, 0.0) << policy << " coflow " << rec.id;
+      EXPECT_GE(rec.cct, rec.min_cct - 1e-9)
+          << policy << " coflow " << rec.id;
+    }
   }
 }
 
