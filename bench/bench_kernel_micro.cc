@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
     results.push_back(
         measure("waterfill_solve", coflows, bench.num_flows(), min_time_s,
                 [&] {
-                  kernel.solve(bench.fabric, problem, capacities, nullptr,
+                  kernel.solve(bench.fabric, problem, capacities,
                                rates.data());
                 }));
   }

@@ -1,9 +1,10 @@
-// Shard-scaling benchmark: events/s of the kernel-backed policies under
-// the scripted finish/depart/arrive event replay (one allocate() per
-// event, as in bench_sched_scalability) across a {policy × shard-count ×
-// coflow-count} matrix on a Facebook-trace-shaped fabric (150 racks,
-// narrow-heavy coflows, rack-local skew applied on top so most flows stay
-// inside their rack group).
+// Shard-scaling benchmark: events/s of the block-parallel policies (drf
+// and hug, the only ones with an "@N" path) under the scripted
+// finish/depart/arrive event replay (one allocate() per event, as in
+// bench_sched_scalability) across a {policy × shard-count × coflow-count}
+// matrix on a Facebook-trace-shaped fabric (150 racks, narrow-heavy
+// coflows, rack-local skew applied on top so most flows stay inside their
+// rack group).
 //
 // Two timings per cell:
 //
@@ -13,7 +14,7 @@
 //   * modeled     — main-thread CPU time (CLOCK_THREAD_CPUTIME_ID, which
 //     stops accruing while the thread is blocked in ThreadPool::run)
 //     plus SchedPerf::shard_critical_seconds, the per-region maximum of
-//     the shard tasks' thread-CPU. This is the wall-clock the cell would
+//     the block tasks' thread-CPU. This is the wall-clock the cell would
 //     take on an unloaded host with >= shards cores, and it is
 //     machine-independent — tools/bench_scale_report.py gates the
 //     4-shard-vs-1-shard speedup floor on it.
@@ -33,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/shard.h"
+#include "alloc/shard.h"  // thread_cpu_seconds
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -47,14 +48,13 @@ namespace {
 using namespace ncdrf;
 
 struct BenchConfig {
-  std::vector<std::string> policies = {"drf", "fifo", "tcp", "aalo"};
+  std::vector<std::string> policies = {"drf", "hug"};
   std::vector<int> shards = {1, 2, 4, 8};
   std::vector<int> coflows = {10000};
   int racks = 150;
   int triples = 10;  // 3 events each
   int max_flows_per_coflow = 64;
   double locality = 0.9;
-  ShardReconcile reconcile;
   std::string json_path;
 };
 
@@ -64,8 +64,6 @@ struct Row {
   int coflows = 0;
   int racks = 0;
   double locality = 0.0;
-  int fp_iters = 0;
-  double fp_tol = 0.0;
   long long events = 0;
   double wall_seconds = 0.0;
   double main_cpu_seconds = 0.0;
@@ -93,9 +91,8 @@ std::vector<int> split_ints(const std::string& value) {
 
 // The replay snapshot: every coflow of the trace concurrently active,
 // destinations skewed so `locality` of the flows stay inside their
-// source's rack group (groups = the largest requested shard count; the
-// floor-boundary groups of N and of any smaller requested count nest, so
-// a group-local flow is shard-local at every swept shard count).
+// source's rack group. Group g of N (N = the largest requested shard
+// count, clamped to the rack count) spans racks [⌊g·m/N⌋, ⌊(g+1)·m/N⌋).
 struct Workload {
   Fabric fabric;
   std::vector<ActiveCoflow> pristine;
@@ -111,7 +108,18 @@ struct Workload {
     options.max_flows_per_coflow = config.max_flows_per_coflow;
     const Trace trace = generate_synthetic_fb(options);
 
-    const ShardPlan plan(fabric, groups);
+    const auto m = static_cast<long long>(config.racks);
+    const auto n = static_cast<long long>(std::clamp(groups, 1, config.racks));
+    std::vector<MachineId> group_begin(static_cast<std::size_t>(m));
+    std::vector<MachineId> group_end(static_cast<std::size_t>(m));
+    for (long long g = 0; g < n; ++g) {
+      for (long long x = g * m / n; x < (g + 1) * m / n; ++x) {
+        group_begin[static_cast<std::size_t>(x)] =
+            static_cast<MachineId>(g * m / n);
+        group_end[static_cast<std::size_t>(x)] =
+            static_cast<MachineId>((g + 1) * m / n);
+      }
+    }
     Rng rng(20180701);
     remaining.assign(static_cast<std::size_t>(trace.total_flows), 0.0);
     pristine.reserve(trace.coflows.size());
@@ -122,11 +130,8 @@ struct Workload {
       for (const Flow& f : coflow.flows()) {
         MachineId dst = f.dst;
         if (rng.uniform() < config.locality) {
-          const int g = plan.shard_of_machine(f.src);
-          const auto m = static_cast<long long>(config.racks);
-          const auto n = static_cast<long long>(plan.num_shards());
-          const auto begin = static_cast<MachineId>(g * m / n);
-          const auto end = static_cast<MachineId>((g + 1) * m / n);
+          const MachineId begin = group_begin[static_cast<std::size_t>(f.src)];
+          const MachineId end = group_end[static_cast<std::size_t>(f.src)];
           dst = begin + static_cast<MachineId>(rng.uniform_int(
                             0, static_cast<int>(end - begin) - 1));
         }
@@ -169,7 +174,6 @@ Row run_cell(const BenchConfig& config, const Workload& workload,
   input.fabric = &workload.fabric;
   input.coflows = workload.pristine;
   input.clairvoyant = workload.info.get();
-  input.reconcile = config.reconcile;
 
   SchedulerOptions options;
   options.shards = shards;
@@ -240,8 +244,6 @@ Row run_cell(const BenchConfig& config, const Workload& workload,
   row.coflows = num_coflows;
   row.racks = config.racks;
   row.locality = config.locality;
-  row.fp_iters = config.reconcile.max_iterations;
-  row.fp_tol = config.reconcile.tolerance;
   row.events = 3LL * config.triples;
   row.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -262,14 +264,13 @@ void write_json(const std::vector<Row>& rows, std::ostream& out) {
     std::snprintf(
         buffer, sizeof(buffer),
         "    {\"policy\": \"%s\", \"shards\": %d, \"coflows\": %d, "
-        "\"racks\": %d, \"locality\": %.3f, \"fp_iters\": %d, "
-        "\"fp_tol\": %g, \"events\": %lld, "
+        "\"racks\": %d, \"locality\": %.3f, \"events\": %lld, "
         "\"wall_seconds\": %.6f, \"wall_events_per_s\": %.1f, "
         "\"main_cpu_seconds\": %.6f, \"shard_busy_seconds\": %.6f, "
         "\"shard_critical_seconds\": %.6f, \"modeled_seconds\": %.6f, "
         "\"modeled_events_per_s\": %.1f}%s\n",
         r.policy.c_str(), r.shards, r.coflows, r.racks, r.locality,
-        r.fp_iters, r.fp_tol, r.events,
+        r.events,
         r.wall_seconds,
         r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds
                              : 0.0,
@@ -305,18 +306,13 @@ int main(int argc, char** argv) {
       config.max_flows_per_coflow = std::stoi(value("--max-flows="));
     } else if (arg.rfind("--locality=", 0) == 0) {
       config.locality = std::stod(value("--locality="));
-    } else if (arg.rfind("--fp-iters=", 0) == 0) {
-      config.reconcile.max_iterations = std::stoi(value("--fp-iters="));
-    } else if (arg.rfind("--fp-tol=", 0) == 0) {
-      config.reconcile.tolerance = std::stod(value("--fp-tol="));
     } else if (arg.rfind("--json=", 0) == 0) {
       config.json_path = value("--json=");
     } else {
       std::cerr << "unknown argument: " << arg << "\n"
                 << "usage: bench_scale [--policies=a,b] [--shards=1,4] "
                    "[--coflows=10000] [--racks=150] [--triples=10] "
-                   "[--max-flows=64] [--locality=0.9] [--fp-iters=N] "
-                   "[--fp-tol=T] [--json=out.json]\n";
+                   "[--max-flows=64] [--locality=0.9] [--json=out.json]\n";
       return 2;
     }
   }

@@ -1,35 +1,25 @@
-// Link-shard layer: partitions the m×m fabric into contiguous rack groups
-// and runs the allocation kernels per shard on a scheduler-owned thread
-// pool, turning the PR-5 kernel layer from "fast single thread" into
-// "scales with cores".
+// Block-parallel execution context for the DRF family: the DemandCache
+// refresh and the P* reduction of drf_allocate split the snapshot's
+// coflows into contiguous blocks and run them on a scheduler-owned thread
+// pool. Each block writes only its own per-coflow slots (and its own load
+// partial), so drf@N and hug@N agree with the serial path up to the
+// block-order grouping of the P* sums.
 //
-// Partitioning scheme: shard s of N owns machines [⌊s·m/N⌋, ⌊(s+1)·m/N⌋)
-// and both port links of each, so every flow touches at most two shards
-// (its source's uplink shard and its destination's downlink shard). A flow
-// whose endpoints land in one shard is *shard-local*; on traces where all
-// flows are local the shards are independent subproblems and the sharded
-// solve is exactly one parallel pass, per-shard bit-identical to the
-// serial kernel. Cross-shard flows are reconciled with a bounded
-// fixed-point pass (ShardedWaterfill) or a min-of-offers merge
-// (ShardedPriorityFill) whose knobs live on ScheduleInput::reconcile.
-//
-// Timing contract: every parallel region measures each shard task's
+// Timing contract: every parallel region measures each block task's
 // thread-CPU time. The per-region maximum accumulates into
 // SchedPerf::shard_critical_seconds — the modeled parallel wall-clock of
-// the shard work on an unloaded multi-core host — and the sum into
+// the block work on an unloaded multi-core host — and the sum into
 // shard_busy_seconds. bench_scale combines the calling thread's CPU time
 // (the serial fraction) with the critical path into a machine-independent
 // events/s metric, so the CI speedup gate does not depend on how many
 // cores the runner happens to schedule the pool on.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "alloc/link_state.h"
-#include "alloc/waterfill.h"
 #include "runner/thread_pool.h"
 #include "sched/scheduler.h"
 
@@ -39,83 +29,30 @@ struct SchedPerf;
 
 // Current thread's consumed CPU time in seconds (CLOCK_THREAD_CPUTIME_ID
 // where available, monotonic wall-clock otherwise). The basis of the
-// shard layer's machine-independent critical-path accounting.
+// block layer's machine-independent critical-path accounting.
 double thread_cpu_seconds();
 
-// The contiguous rack-group partition of a fabric's links.
-class ShardPlan {
- public:
-  ShardPlan() = default;
-
-  // Shard s owns machines [⌊s·m/N⌋, ⌊(s+1)·m/N⌋). Requested counts above
-  // the machine count clamp to one machine per shard.
-  ShardPlan(const Fabric& fabric, int num_shards);
-
-  int num_shards() const { return num_shards_; }
-  int num_machines() const { return num_machines_; }
-
-  // True when this plan already describes `fabric` cut into `num_shards`.
-  bool matches(const Fabric& fabric, int num_shards) const;
-
-  int shard_of_machine(MachineId machine) const {
-    return machine_shard_[static_cast<std::size_t>(machine)];
-  }
-
-  // Both of a machine's port links live in its shard.
-  int shard_of_link(LinkId link) const {
-    const auto idx = static_cast<std::size_t>(link);
-    const auto m = static_cast<std::size_t>(num_machines_);
-    return machine_shard_[idx < m ? idx : idx - m];
-  }
-
-  // Per-link ownership mask of one shard (1 = owned), for the masked
-  // waterfill solve. Indexed by LinkId.
-  const std::vector<char>& link_mask(int shard) const {
-    return link_mask_[static_cast<std::size_t>(shard)];
-  }
-
- private:
-  int num_machines_ = 0;
-  int num_shards_ = 0;
-  std::vector<int> machine_shard_;          // MachineId -> shard
-  std::vector<std::vector<char>> link_mask_;  // shard -> LinkId -> owned
-};
-
-// Scheduler-owned shard execution context: the plan, a private ThreadPool
-// (its own pool handle, so a sharded allocate() nested inside a sweep
-// cell never contends with the sweep's dispatcher), and the per-region
+// Scheduler-owned block execution context: a private ThreadPool (its own
+// pool handle, so a block-parallel allocate() nested inside a sweep cell
+// never contends with the sweep's dispatcher) and the per-region
 // critical-path timers.
 class ShardRuntime {
  public:
   // Honors the SchedulerOptions contract: shards <= 1 yields no runtime
-  // at all, so the serial path of every policy stays literally the code
-  // that runs today — that is the shards == 1 bit-identity guarantee.
+  // at all, so the serial path stays literally the serial code.
   static std::unique_ptr<ShardRuntime> create(const SchedulerOptions& options);
 
-  // The pool gets min(num_shards, hardware threads) workers; shard tasks
-  // beyond that queue on it, so any shard count costs bounded threads.
+  // The pool gets min(num_shards, hardware threads) workers; block tasks
+  // beyond that queue on it, so any block count costs bounded threads.
   explicit ShardRuntime(int num_shards);
 
   int num_shards() const { return num_shards_; }
   int num_threads() const { return pool_.num_threads(); }
 
-  // Binds (or re-binds) the partition to `fabric`; cheap when the plan
-  // already matches. Returns the bound plan.
-  const ShardPlan& bind(const Fabric& fabric);
-  const ShardPlan& plan() const { return plan_; }
-
-  // True when the bound plan actually splits the fabric; policies fall
-  // back to their serial path otherwise (e.g. a one-machine fabric).
-  bool parallel() const { return plan_.num_shards() > 1; }
-
-  // Runs fn(shard) for every shard on the pool and blocks; each task's
-  // thread-CPU time is measured, the region's maximum extends the
-  // critical path and the sum extends the busy total.
-  void parallel_shards(const std::function<void(int)>& fn);
-
-  // Splits [0, n) into num_shards contiguous blocks and runs
-  // fn(block, begin, end) in parallel with the same accounting; empty
-  // blocks are skipped.
+  // Splits [0, n) into num_shards contiguous blocks, runs
+  // fn(block, begin, end) for every non-empty block on the pool and
+  // blocks; each task's thread-CPU time is measured, the region's maximum
+  // extends the critical path and the sum extends the busy total.
   void parallel_blocks(
       std::size_t n,
       const std::function<void(int, std::size_t, std::size_t)>& fn);
@@ -126,90 +63,11 @@ class ShardRuntime {
 
  private:
   int num_shards_;
-  ShardPlan plan_;
   ThreadPool pool_;
-  std::vector<double> task_seconds_;  // per-shard scratch, one region
+  std::vector<double> task_seconds_;  // per-block scratch, one region
   long long regions_ = 0;
   double busy_seconds_ = 0.0;
   double critical_seconds_ = 0.0;
-};
-
-// Cross-shard weighted max-min: the sharded twin of WaterfillKernel.
-//
-// Each iteration solves every shard's masked subproblem against the
-// shared residual capacities in parallel (a cross-shard flow appears in
-// both endpoint shards), then serially reconciles: a flow's increment is
-// the minimum of its per-shard offers — for a shard-local flow exactly
-// the joint rate its own shard computed — so the merged allocation never
-// oversubscribes a link. Residuals shrink by the increments and only
-// flows with slack on both endpoint links stay active. Shard-local-only
-// traces terminate after one iteration, per shard bit-identical to the
-// serial kernel; cross-shard flows converge under the iteration cap and
-// freeze tolerance of ScheduleInput::reconcile.
-class ShardedWaterfill {
- public:
-  void solve(const Fabric& fabric, ShardRuntime& runtime,
-             const std::vector<WaterfillFlow>& flows,
-             const std::vector<double>& available_bps,
-             const ShardReconcile& reconcile, std::vector<double>& rates_out);
-
- private:
-  struct Shard {
-    WaterfillKernel kernel;
-    std::vector<WaterfillFlow> flows;
-    std::vector<std::int32_t> index;  // positions in the caller's list
-    std::vector<double> rates;
-  };
-
-  std::vector<Shard> shards_;
-  std::vector<double> residual_;
-  std::vector<double> tol_;
-  // Per-flow offers, split by endpoint so each shard publishes only the
-  // side it owns (a shard-local flow writes both). Read in the apply
-  // phase, where link/rate writes are partitioned by ownership the same
-  // way — no two shards ever touch the same slot.
-  std::vector<double> offer_up_;
-  std::vector<double> offer_dn_;
-  std::vector<char> shard_progress_;
-};
-
-// Sharded strict-priority fill for the sequential-fill policies (Aalo's
-// D-CLAS queues, FIFO): every shard walks the full coflow priority order
-// but fills only its own links' residuals; a flow's rate is the minimum
-// of its per-endpoint offers. Exact — equal to the serial fill — when
-// every flow is shard-local; a cross-shard flow may leave behind slack
-// (each side reserved its one-sided offer but realized the min), which
-// the caller's work-conserving backfill redistributes.
-class ShardedPriorityFill {
- public:
-  // `order` holds indices into input.coflows in fill priority order;
-  // `state` provides the per-coflow per-link live counts (same contract
-  // as the serial fills). Rates are written into `alloc` via set_rate.
-  void run(const ScheduleInput& input, const LinkLoadState& state,
-           const std::vector<std::size_t>& order, ShardRuntime& runtime,
-           Allocation& alloc);
-
- private:
-  std::vector<std::int32_t> flat_offset_;  // coflow index -> first flat id
-  std::vector<const LinkLoadState::CoflowLoad*> loads_;
-  std::vector<double> offer_up_, offer_dn_;  // flat flow id -> offers
-  std::vector<std::vector<double>> residual_;  // per shard, by LinkId
-};
-
-// Work-conserving last pass on the sharded path: water-fills the residual
-// capacity left by `alloc` max-min fairly (unit weights) across every
-// active flow via ShardedWaterfill and adds the result in place — the
-// sharded twin of ResidualBackfill.
-class ShardedBackfill {
- public:
-  void run(const ScheduleInput& input, ShardRuntime& runtime,
-           Allocation& alloc);
-
- private:
-  ShardedWaterfill waterfill_;
-  std::vector<WaterfillFlow> flows_;
-  std::vector<double> residual_;
-  std::vector<double> rates_;
 };
 
 }  // namespace ncdrf

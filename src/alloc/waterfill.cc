@@ -83,14 +83,6 @@ void WaterfillKernel::solve(const Fabric& fabric,
                             const std::vector<WaterfillFlow>& flows,
                             const std::vector<double>& available_bps,
                             std::vector<double>& rates_out) {
-  solve(fabric, flows, available_bps, /*link_mask=*/nullptr, rates_out);
-}
-
-void WaterfillKernel::solve(const Fabric& fabric,
-                            const std::vector<WaterfillFlow>& flows,
-                            const std::vector<double>& available_bps,
-                            const std::vector<char>* link_mask,
-                            std::vector<double>& rates_out) {
   const std::size_t n = flows.size();
   up_.resize(n);
   dn_.resize(n);
@@ -102,21 +94,16 @@ void WaterfillKernel::solve(const Fabric& fabric,
   }
   rates_out.resize(n);
   solve(fabric, WaterfillProblem{n, up_.data(), dn_.data(), w_.data()},
-        available_bps, link_mask, rates_out.data());
+        available_bps, rates_out.data());
 }
 
 void WaterfillKernel::solve(const Fabric& fabric,
                             const WaterfillProblem& problem,
                             const std::vector<double>& available_bps,
-                            const std::vector<char>* link_mask,
                             double* rates_out) {
   NCDRF_CHECK(available_bps.size() ==
                   static_cast<std::size_t>(fabric.num_links()),
               "available-capacity vector must cover all links");
-  NCDRF_CHECK(link_mask == nullptr ||
-                  link_mask->size() ==
-                      static_cast<std::size_t>(fabric.num_links()),
-              "link mask must cover all links");
   const std::size_t n = problem.num_flows;
   const std::int32_t* up = problem.up;
   const std::int32_t* dn = problem.dn;
@@ -168,8 +155,7 @@ void WaterfillKernel::solve(const Fabric& fabric,
   }
 
   for (std::size_t i = 0; i < num_links; ++i) {
-    const bool masked_out = link_mask != nullptr && (*link_mask)[i] == 0;
-    if (weight_[i] > 0.0 && !masked_out) {
+    if (weight_[i] > 0.0) {
       key_[i] = theta_last_[i] + avail_[i] / weight_[i];
       heap_push(static_cast<std::int32_t>(i));
     }
@@ -178,8 +164,8 @@ void WaterfillKernel::solve(const Fabric& fabric,
   // Freezes `link` at fill level theta: all its unfrozen flows get their
   // final rate weight·theta, and each such flow's other endpoint link is
   // advanced to theta and re-keyed in place with the flow's weight
-  // removed. A link absent from the heap (pos < 0) is frozen, weightless
-  // or masked out — all cases the update must skip.
+  // removed. A link absent from the heap (pos < 0) is frozen or
+  // weightless — both cases the update must skip.
   const auto freeze_link = [&](std::size_t link, double theta) {
     const auto begin = static_cast<std::size_t>(csr_offsets_[link]);
     const auto end = static_cast<std::size_t>(csr_offsets_[link + 1]);
@@ -286,7 +272,7 @@ void ResidualBackfill::run(const Fabric& fabric, const FlowTable& table) {
   kernel_.solve(fabric,
                 WaterfillProblem{table.num_flows, table.up, table.dn,
                                  /*weight=*/nullptr},
-                residual_, /*link_mask=*/nullptr, rates_.data());
+                residual_, rates_.data());
   for (std::size_t k = 0; k < table.num_flows; ++k) {
     if (rates_[k] > 0.0) table.rate[k] += rates_[k];
   }

@@ -26,7 +26,7 @@
 // up/dn/weight columns, see alloc/kernel_scratch.h): the CSR build and
 // freeze sweeps run over flat int32/double arrays with no per-flow Fabric
 // checks, so the saturation updates vectorize. The AoS WaterfillFlow entry
-// points remain as thin adapters for the sharded path and the tests.
+// point remains as a thin adapter for the AoS backfill and the tests.
 //
 // Freeze semantics replicate the legacy solver's tolerance rule exactly
 // (a link whose residual falls within 1e-9·max(avail, 1) of zero is
@@ -71,24 +71,11 @@ class WaterfillKernel {
              const std::vector<double>& available_bps,
              std::vector<double>& rates_out);
 
-  // Shard-masked variant: links with link_mask[link] == 0 never saturate
-  // and never cap a flow (they belong to another shard's subproblem), so
-  // every flow's rate is decided by its in-mask links alone. Every flow
-  // must touch at least one in-mask link or it would fill forever. A null
-  // mask is the unmasked solve above, with arithmetic untouched — the
-  // mask only prunes heap pushes and freeze updates, so shards == 1
-  // remains bit-identical to the serial kernel.
-  void solve(const Fabric& fabric, const std::vector<WaterfillFlow>& flows,
-             const std::vector<double>& available_bps,
-             const std::vector<char>* link_mask,
-             std::vector<double>& rates_out);
-
-  // SoA core both adapters above feed. `rates_out` must hold
+  // SoA core the adapter above feeds. `rates_out` must hold
   // problem.num_flows entries; it is zero-filled and then written once
   // per flow at its freeze.
   void solve(const Fabric& fabric, const WaterfillProblem& problem,
-             const std::vector<double>& available_bps,
-             const std::vector<char>* link_mask, double* rates_out);
+             const std::vector<double>& available_bps, double* rates_out);
 
  private:
   // (key, link-id)-lexicographic min ordering — the same total order the

@@ -35,51 +35,33 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
 
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
                                           const SchedulerOptions& options) {
-  const auto serial_only = [&](const char* policy) {
-    NCDRF_CHECK(options.shards <= 1,
-                std::string(policy) +
-                    " has no sharded path; use shards == 1");
-  };
-  if (name == "ncdrf") {
-    serial_only("ncdrf");
-    return std::make_unique<NcDrfScheduler>();
-  }
+  if (name == "drf") return std::make_unique<DrfScheduler>(options);
+  if (name == "hug") return std::make_unique<HugScheduler>(HugOptions{}, options);
+  NCDRF_CHECK(options.shards <= 1,
+              name + " has no sharded path (only drf and hug take @N, "
+                     "N > 1); use shards == 1");
+  if (name == "ncdrf") return std::make_unique<NcDrfScheduler>();
   if (name == "ncdrf-live") {
-    serial_only("ncdrf-live");
     return std::make_unique<NcDrfScheduler>(
         NcDrfOptions{.count_finished_flows = false});
   }
+  if (name == "psp") return std::make_unique<PspScheduler>();
   if (name == "psp-live") {
     return std::make_unique<PspScheduler>(
-        PspOptions{.count_finished_flows = false}, options);
+        PspOptions{.count_finished_flows = false});
   }
-  if (name == "drf") return std::make_unique<DrfScheduler>(options);
-  if (name == "hug") return std::make_unique<HugScheduler>(HugOptions{}, options);
-  if (name == "psp") return std::make_unique<PspScheduler>(PspOptions{}, options);
-  if (name == "tcp") return std::make_unique<PerFlowScheduler>(options);
-  if (name == "aalo") {
-    return std::make_unique<AaloScheduler>(AaloOptions{}, options);
-  }
-  if (name == "varys") {
-    return std::make_unique<VarysScheduler>(VarysOptions{}, options);
-  }
-  if (name == "fifo") {
-    return std::make_unique<FifoScheduler>(FifoOptions{}, options);
-  }
-  if (name == "baraat") {
-    return std::make_unique<BaraatScheduler>(BaraatOptions{}, options);
-  }
-  if (name == "karma") {
-    serial_only("karma");
-    return std::make_unique<KarmaScheduler>();
-  }
+  if (name == "tcp") return std::make_unique<PerFlowScheduler>();
+  if (name == "aalo") return std::make_unique<AaloScheduler>();
+  if (name == "varys") return std::make_unique<VarysScheduler>();
+  if (name == "fifo") return std::make_unique<FifoScheduler>();
+  if (name == "baraat") return std::make_unique<BaraatScheduler>();
+  if (name == "karma") return std::make_unique<KarmaScheduler>();
   if (name == "persource") {
-    return std::make_unique<EndpointFairScheduler>(FairnessEntity::kSource,
-                                                   options);
+    return std::make_unique<EndpointFairScheduler>(FairnessEntity::kSource);
   }
   if (name == "perpair") {
     return std::make_unique<EndpointFairScheduler>(
-        FairnessEntity::kSourceDestinationPair, options);
+        FairnessEntity::kSourceDestinationPair);
   }
   NCDRF_CHECK(false, "unknown scheduler name: " + name);
   return nullptr;

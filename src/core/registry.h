@@ -26,15 +26,16 @@ namespace ncdrf {
 //   "baraat"      FIFO-LM (decentralized task-aware)
 //   "karma"       per-tenant max-min with donor/borrower credits
 //
-// Any kernel-backed name takes an optional "@N" suffix ("drf@4",
-// "fifo@8") selecting the sharded execution path with N link shards —
-// shorthand for the SchedulerOptions overload below. The ncdrf* policies
-// and karma have no sharded path and accept only N == 1.
+// "drf" and "hug" take an optional "@N" suffix ("drf@4") selecting the
+// block-parallel DRF refresh with N blocks — shorthand for the
+// SchedulerOptions overload below. Every other policy has no sharded path
+// and accepts only N == 1.
 // Throws CheckError on an unknown name.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 
-// Same factory with explicit scheduler-wide options (shard count). The
-// plain overload parses the "@N" suffix and delegates here.
+// Same factory with explicit scheduler-wide options (shard count, honored
+// by drf and hug only). The plain overload parses the "@N" suffix and
+// delegates here.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
                                           const SchedulerOptions& options);
 

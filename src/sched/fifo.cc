@@ -27,19 +27,6 @@ Allocation FifoScheduler::allocate(const ScheduleInput& input) {
     NCDRF_CHECK(ok, "FIFO: rebuilt priority order must cover the snapshot");
   }
 
-  Allocation alloc;
-
-  if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-    alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
-    sharded_fill_.run(input, state_, order_, *runtime_, alloc);
-    if (options_.work_conserving) {
-      perf_.backfill_rounds += 1;
-      sharded_backfill_.run(input, *runtime_, alloc);
-    }
-    runtime_->drain_timers(perf_);
-    return alloc;
-  }
-
   const FlowTable& table =
       scratch_.gather(input, &state_, GatherCounts::kLive);
 
@@ -74,6 +61,7 @@ Allocation FifoScheduler::allocate(const ScheduleInput& input) {
     perf_.backfill_rounds += 1;
     backfill_.run(fabric, table);
   }
+  Allocation alloc;
   KernelScratch::commit(table, alloc);
   return alloc;
 }

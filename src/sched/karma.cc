@@ -84,8 +84,7 @@ Allocation KarmaScheduler::allocate(const ScheduleInput& input) {
   }
   const WaterfillProblem problem{table.num_flows, table.up, table.dn,
                                  weight};
-  kernel_.solve(fabric, problem, capacities_, /*link_mask=*/nullptr,
-                table.rate);
+  kernel_.solve(fabric, problem, capacities_, table.rate);
   KernelScratch::commit(table, alloc);
 
   // Record realized per-entity rates for the next credit pass.

@@ -6,11 +6,9 @@
 // grabs proportionally more bandwidth.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/kernel_scratch.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 #include "obs/perf.h"
 #include "sched/scheduler.h"
@@ -19,9 +17,6 @@ namespace ncdrf {
 
 class PerFlowScheduler : public Scheduler {
  public:
-  explicit PerFlowScheduler(SchedulerOptions options = {})
-      : runtime_(ShardRuntime::create(options)) {}
-
   std::string name() const override { return "TCP"; }
   bool clairvoyant() const override { return false; }
   Allocation allocate(const ScheduleInput& input) override;
@@ -29,16 +24,11 @@ class PerFlowScheduler : public Scheduler {
 
  private:
   // Water-filling kernel plus scratch, reused across allocate() calls so
-  // the hot path performs no per-call vector growth once warmed up. The
-  // serial path solves directly over the gathered SoA columns; the AoS
-  // flow records are built only for the sharded solver.
+  // the hot path performs no per-call vector growth once warmed up; the
+  // solve runs directly over the gathered SoA columns.
   WaterfillKernel kernel_;
   KernelScratch scratch_;
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedWaterfill sharded_;
-  std::vector<WaterfillFlow> flows_;
   std::vector<double> capacities_;
-  std::vector<double> rates_;
   SchedPerf perf_;
 };
 

@@ -27,31 +27,17 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
   // Effective bottleneck completion time of each coflow at full capacity.
   // Only the cache's touched links are scanned — untouched links hold
   // exactly 0.0 demand and cannot raise the max, so the sparse scan equals
-  // the dense one bit for bit. Each coflow's Γ reads only its own cached
-  // vectors, so the scans parallelize over coflow blocks with per-k
-  // results unchanged.
-  cache_.refresh(input, runtime_.get());
+  // the dense one bit for bit.
+  cache_.refresh(input);
   gamma_.assign(input.coflows.size(), 0.0);
-  const auto gamma_of = [&](std::size_t k) {
+  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
     const DemandVectors& d = cache_.demand(k);
     double g = 0.0;
     for (const LinkId i : cache_.touched(k)) {
       const auto idx = static_cast<std::size_t>(i);
       g = std::max(g, d.demand[idx] / capacities_[idx]);
     }
-    return g;
-  };
-  if (runtime_ != nullptr) {
-    runtime_->parallel_blocks(input.coflows.size(),
-                              [&](int, std::size_t begin, std::size_t end) {
-                                for (std::size_t k = begin; k < end; ++k) {
-                                  gamma_[k] = gamma_of(k);
-                                }
-                              });
-  } else {
-    for (std::size_t k = 0; k < input.coflows.size(); ++k) {
-      gamma_[k] = gamma_of(k);
-    }
+    gamma_[k] = g;
   }
 
   // SEBF order: smallest Γ first, id as a deterministic tiebreak.
@@ -101,23 +87,12 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
     }
   }
 
-  Allocation alloc;
   if (options_.work_conserving) {
     perf_.backfill_rounds += 1;
-    if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-      KernelScratch::commit(table, alloc);
-      sharded_backfill_.run(input, *runtime_, alloc);
-      runtime_->drain_timers(perf_);
-      perf_.allocate_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      return alloc;
-    }
     backfill_.run(fabric, table);
   }
+  Allocation alloc;
   KernelScratch::commit(table, alloc);
-  if (runtime_ != nullptr) runtime_->drain_timers(perf_);
   perf_.allocate_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -23,6 +23,22 @@ bool diverged(double pushed, double fresh, double threshold) {
   return std::abs(fresh - pushed) > threshold * scale;
 }
 
+// Why a submission cannot be registered, or null when it can. Master's own
+// checks throw, and a throw mid-epoch takes every tenant's epoch with it,
+// so malformed input is screened out before registration.
+const char* invalid_reason(const Submission& s, int num_machines) {
+  if (s.flows.empty()) return "no_flows";
+  for (const Flow& f : s.flows) {
+    if (f.src < 0 || f.src >= num_machines || f.dst < 0 ||
+        f.dst >= num_machines) {
+      return "endpoint";
+    }
+    if (!std::isfinite(f.size_bits) || f.size_bits < 0.0) return "size";
+    if (s.coflow < 0 || f.coflow != s.coflow) return "coflow";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 ServeFront::ServeFront(const Fabric& fabric, Scheduler& scheduler,
@@ -115,7 +131,8 @@ void ServeFront::retire_due(double now) {
 int ServeFront::admit_batch(double now) {
   batch_.clear();
   // Round-robin, one submission per client per round: the batch cap can
-  // never starve a client behind another's burst.
+  // never starve a client behind another's burst. A malformed submission
+  // is dropped and counted here, taking no batch slot.
   bool any = true;
   while (any && (options_.max_batch_per_epoch <= 0 ||
                  static_cast<int>(batch_.size()) <
@@ -126,7 +143,18 @@ int ServeFront::admit_batch(double now) {
           static_cast<int>(batch_.size()) >= options_.max_batch_per_epoch) {
         break;
       }
-      any = queue->drain(1, batch_) > 0 || any;
+      if (queue->drain(1, batch_) == 0) continue;
+      any = true;
+      const char* reason = invalid_reason(batch_.back(), num_machines_);
+      if (reason == nullptr) continue;
+      batch_.pop_back();
+      ++invalid_;
+      if (options_.metrics != nullptr) {
+        options_.metrics
+            ->counter("serve.client." + std::to_string(queue->client()) +
+                      ".invalid." + reason)
+            .inc();
+      }
     }
   }
   for (Submission& s : batch_) {

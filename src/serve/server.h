@@ -158,6 +158,10 @@ class ServeFront {
   long long pushes_deferred() const { return pushes_deferred_; }
   long long total_rejected() const;
   long long total_shed() const;
+  // Submissions dropped at admission as malformed (no flows, an endpoint
+  // outside the fabric, a NaN/infinite/negative size, or a flow of another
+  // coflow); per client and reason in serve.client.N.invalid.<reason>.
+  long long invalid() const { return invalid_; }
   std::size_t backlog() const;  // queued submissions across all clients
   Backpressure level() const { return level_; }
   // Largest (push time − first divergence time) over all pushes so far:
@@ -243,6 +247,7 @@ class ServeFront {
   Backpressure level_ = Backpressure::kOk;
   long long epochs_ = 0;
   long long admitted_ = 0;
+  long long invalid_ = 0;
   long long allocations_ = 0;
   long long rate_pushes_ = 0;
   long long pushes_deferred_ = 0;

@@ -73,7 +73,6 @@ struct DynamicSimulator::Impl {
     NCDRF_CHECK(options.completion_epsilon_bits > 0.0,
                 "completion epsilon must be positive");
     input.fabric = &fabric;
-    input.reconcile = options.reconcile;
     track_progress = options.record_intervals ||
                      options.record_progress_timeseries ||
                      options.auditor != nullptr;

@@ -14,11 +14,17 @@
 // The mutator is seeded, so a failure reproduces; the failing input is
 // printed JSON-quoted. libFuzzer needs clang, so this stays a plain gtest
 // that runs under the ASan/UBSan build like every other test.
+//
+// The serving front-end is outside input too: ServeAdmission mixes
+// malformed submissions into seeded honest load and checks that they are
+// dropped and counted at admission without disturbing anyone else.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -28,7 +34,12 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/units.h"
+#include "core/registry.h"
+#include "obs/metrics.h"
 #include "scenario/spec.h"
+#include "serve/loadgen.h"
+#include "serve/server.h"
 #include "trace/benchmark_format.h"
 #include "trace/trace.h"
 
@@ -229,6 +240,159 @@ TEST(RobustParse, BenchmarkTraceRejectsOrRoundTrips) {
         << json_quote(doc);
   }
   EXPECT_GT(accepted, kMutations / 100);
+}
+
+// ---------------------------------------------------------------------------
+// Serve admission boundary
+
+constexpr int kServeMachines = 8;
+constexpr double kServeEpoch = 1e-3;
+
+// Drives a ServeFront over `honest` on an epoch grid with a fluid data
+// plane kept here: each epoch's allocation moves bytes for one epoch, the
+// flows that drain are reported before the next epoch, and a coflow's CCT
+// is the epoch boundary at which its last flow drained, minus its submit
+// time. `bad` submissions are enqueued at their submit time on the client
+// named by their `client` field, alongside the honest load.
+std::map<CoflowId, double> serve_ccts(
+    const std::vector<std::vector<serve::Submission>>& honest,
+    const std::vector<serve::Submission>& bad, obs::MetricsRegistry* metrics,
+    long long* invalid) {
+  const Fabric fabric(kServeMachines, gbps(1.0));
+  const auto scheduler = make_scheduler("ncdrf");
+  serve::ServeOptions options;
+  options.epoch_s = kServeEpoch;
+  options.metrics = metrics;
+  serve::ServeFront front(fabric, *scheduler,
+                          static_cast<int>(honest.size()), options);
+
+  std::map<FlowId, double> remaining;
+  std::map<FlowId, CoflowId> owner;
+  std::map<CoflowId, int> live;
+  std::map<CoflowId, double> submitted;
+  std::map<CoflowId, double> cct;
+  std::vector<std::size_t> cursor(honest.size(), 0);
+  std::size_t bad_cursor = 0;
+  std::size_t total = 0;
+  for (const auto& schedule : honest) total += schedule.size();
+  std::vector<FlowFinishedMsg> finished;
+
+  for (long long epoch = 0; cct.size() < total; ++epoch) {
+    if (epoch > 1000000) {
+      ADD_FAILURE() << "serve run did not drain";
+      break;
+    }
+    const double now = static_cast<double>(epoch) * kServeEpoch;
+    for (std::size_t c = 0; c < honest.size(); ++c) {
+      while (cursor[c] < honest[c].size() &&
+             honest[c][cursor[c]].submit_time <= now) {
+        serve::Submission s = honest[c][cursor[c]++];
+        s.client = static_cast<int>(c);
+        for (const Flow& f : s.flows) {
+          remaining[f.id] = f.size_bits;
+          owner[f.id] = s.coflow;
+        }
+        live[s.coflow] = static_cast<int>(s.flows.size());
+        submitted[s.coflow] = s.submit_time;
+        EXPECT_TRUE(front.queue(static_cast<int>(c)).try_enqueue(std::move(s)));
+      }
+    }
+    while (bad_cursor < bad.size() && bad[bad_cursor].submit_time <= now) {
+      const serve::Submission& s = bad[bad_cursor++];
+      EXPECT_TRUE(front.queue(s.client).try_enqueue(s));
+    }
+    if (!finished.empty()) {
+      for (FlowFinishedMsg& msg : finished) msg.finish_time = now;
+      front.master().on_flows_finished(finished);
+      finished.clear();
+    }
+    front.step_epoch(now);
+
+    const Allocation& alloc = front.last_allocation();
+    for (auto it = remaining.begin(); it != remaining.end();) {
+      it->second -= alloc.rate(it->first) * kServeEpoch;
+      if (it->second > 1e-6) {
+        ++it;
+        continue;
+      }
+      const CoflowId coflow = owner.at(it->first);
+      finished.push_back(FlowFinishedMsg{it->first, coflow, 0.0});
+      if (--live.at(coflow) == 0) {
+        cct[coflow] = now + kServeEpoch - submitted.at(coflow);
+      }
+      it = remaining.erase(it);
+    }
+  }
+  *invalid = front.invalid();
+  return cct;
+}
+
+TEST(ServeAdmission, MalformedSubmissionsAreCountedAndIsolated) {
+  serve::LoadGenOptions load;
+  load.seed = 20180701;
+  load.num_clients = 3;
+  load.num_machines = kServeMachines;
+  load.arrival_rate_per_s = 400.0;
+  load.duration_s = 0.1;
+  load.mean_lifetime_s = 0.0;  // coflows retire when their bytes drain
+  const auto honest = serve::LoadGenerator(load).generate();
+
+  // One bad submission per malformation, spread over the clients and the
+  // run. Ids sit far above the honest ones, so any leak into the master
+  // would show up as an extra coflow rather than a collision.
+  const auto bad_one = [](int client, double at, CoflowId coflow) {
+    serve::Submission s;
+    s.coflow = coflow;
+    s.client = client;
+    s.submit_time = at;
+    s.flows.push_back(Flow{coflow * 10, coflow, 0, 1, 8e6});
+    return s;
+  };
+  std::vector<serve::Submission> bad;
+  bad.push_back(bad_one(0, 0.010, 100000));
+  bad.back().flows.clear();  // no flows
+  bad.push_back(bad_one(1, 0.020, 100001));
+  bad.back().flows[0].src = 99;  // outside the fabric
+  bad.push_back(bad_one(2, 0.030, 100002));
+  bad.back().flows[0].dst = -1;
+  bad.push_back(bad_one(0, 0.040, 100003));
+  bad.back().flows[0].size_bits = std::numeric_limits<double>::quiet_NaN();
+  bad.push_back(bad_one(1, 0.050, 100004));
+  bad.back().flows[0].size_bits = std::numeric_limits<double>::infinity();
+  bad.push_back(bad_one(2, 0.060, 100005));
+  bad.back().flows[0].size_bits = -1.0;
+  bad.push_back(bad_one(0, 0.070, 100006));
+  bad.back().flows[0].coflow = 7;  // a flow claiming another coflow
+
+  long long clean_invalid = -1;
+  const std::map<CoflowId, double> clean =
+      serve_ccts(honest, {}, nullptr, &clean_invalid);
+  EXPECT_EQ(clean_invalid, 0);
+
+  obs::MetricsRegistry metrics;
+  long long invalid = -1;
+  std::map<CoflowId, double> mixed;
+  ASSERT_NO_THROW(mixed = serve_ccts(honest, bad, &metrics, &invalid));
+  EXPECT_EQ(invalid, 7);
+  const auto count = [&](const std::string& name) {
+    const auto it = metrics.counters().find(name);
+    return it == metrics.counters().end() ? 0LL : it->second.value;
+  };
+  EXPECT_EQ(count("serve.client.0.invalid.no_flows"), 1);
+  EXPECT_EQ(count("serve.client.1.invalid.endpoint"), 1);
+  EXPECT_EQ(count("serve.client.2.invalid.endpoint"), 1);
+  EXPECT_EQ(count("serve.client.0.invalid.size"), 1);
+  EXPECT_EQ(count("serve.client.1.invalid.size"), 1);
+  EXPECT_EQ(count("serve.client.2.invalid.size"), 1);
+  EXPECT_EQ(count("serve.client.0.invalid.coflow"), 1);
+
+  // The honest tenants never notice: every CCT is bitwise the clean one.
+  ASSERT_GT(clean.size(), 20u);
+  ASSERT_EQ(mixed.size(), clean.size());
+  for (const auto& [coflow, time] : clean) {
+    ASSERT_TRUE(mixed.contains(coflow)) << "coflow " << coflow;
+    EXPECT_EQ(mixed.at(coflow), time) << "coflow " << coflow;
+  }
 }
 
 }  // namespace

@@ -214,7 +214,6 @@ TEST(ServeFront, PerClientFifoPreservedUnderBatching) {
 std::vector<std::string> equivalence_policies() {
   std::vector<std::string> names = scheduler_names();
   names.push_back("drf@4");  // the sharded path serves identically too
-  names.push_back("tcp@4");
   return names;
 }
 

@@ -1,15 +1,13 @@
-// Tests for the link-shard layer (alloc/shard.h) and the sharded
-// execution paths of the kernel-backed policies:
+// Tests for the block-parallel DRF/HUG path (alloc/shard.h) and the
+// thread pool under it:
 //
-//   * ShardPlan partitions machines/links exactly once and nests across
-//     power-of-two shard counts;
-//   * ThreadPool::run is reentrant from its own workers (the shard pool's
+//   * ThreadPool::run is reentrant from its own workers (the block pool's
 //     nested-dispatch regression);
-//   * shards == 1 vs shards == N produce identical rates on shard-local
-//     traces, and bounded divergence + feasibility on cross-shard traces;
-//   * the registry's "@N" suffix, SchedPerf shard counters, SimOptions
-//     reconcile forwarding, and the Theorem 1 envelope with a sharded
-//     clairvoyant-DRF baseline.
+//   * drf@N and hug@N agree with the serial path to fp noise on local and
+//     cross-group traces, stay feasible, and repeat bitwise;
+//   * the registry accepts "@N" only for drf and hug, the SchedPerf shard
+//     counters, and the Theorem 1 envelope with a sharded clairvoyant-DRF
+//     baseline.
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -39,30 +37,35 @@ namespace {
 using testing::Snapshot;
 using testing::snapshot_all_active;
 
-// Machines of each shard under `plan`, for drawing group-local endpoints.
-std::vector<std::vector<MachineId>> shard_members(const Fabric& fabric,
-                                                  const ShardPlan& plan) {
-  std::vector<std::vector<MachineId>> members(
-      static_cast<std::size_t>(plan.num_shards()));
-  for (MachineId m = 0; m < fabric.num_machines(); ++m) {
-    members[static_cast<std::size_t>(plan.shard_of_machine(m))].push_back(m);
+// Machines of each rack group: group g of N spans machines
+// [⌊g·m/N⌋, ⌊(g+1)·m/N⌋), N clamped to the machine count.
+std::vector<std::vector<MachineId>> group_members(const Fabric& fabric,
+                                                  int groups) {
+  const auto m = static_cast<long long>(fabric.num_machines());
+  const auto n = static_cast<long long>(
+      std::clamp(groups, 1, fabric.num_machines()));
+  std::vector<std::vector<MachineId>> members(static_cast<std::size_t>(n));
+  for (long long g = 0; g < n; ++g) {
+    for (long long x = g * m / n; x < (g + 1) * m / n; ++x) {
+      members[static_cast<std::size_t>(g)].push_back(
+          static_cast<MachineId>(x));
+    }
   }
   return members;
 }
 
 // Random trace whose flows stay inside one rack group with probability
-// `locality` (1.0 = fully shard-local at every nested shard count).
+// `locality` (1.0 = every flow stays inside one group).
 // Sizes are multiples of 10 Mb so waterfill levels avoid degenerate ties.
 Trace grouped_trace(const Fabric& fabric, int groups, std::uint64_t seed,
                     int num_coflows, int max_flows, double locality) {
-  const ShardPlan plan(fabric, groups);
-  const auto members = shard_members(fabric, plan);
+  const auto members = group_members(fabric, groups);
   Rng rng(seed);
   TraceBuilder builder(fabric.num_machines());
   for (int c = 0; c < num_coflows; ++c) {
     builder.begin_coflow(0.0);
     const auto g = static_cast<std::size_t>(
-        rng.uniform_int(0, plan.num_shards() - 1));
+        rng.uniform_int(0, static_cast<std::int64_t>(members.size()) - 1));
     const auto flows = static_cast<int>(rng.uniform_int(1, max_flows));
     for (int f = 0; f < flows; ++f) {
       const auto& group = members[g];
@@ -108,59 +111,7 @@ double total_rate(const ScheduleInput& input, const Allocation& alloc) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardPlan
-
-TEST(ShardPlan, PartitionsEveryMachineAndLinkExactlyOnce) {
-  const Fabric fabric(150, gbps(1.0));
-  for (const int shards : {1, 2, 3, 4, 7, 8, 150, 500}) {
-    const ShardPlan plan(fabric, shards);
-    EXPECT_EQ(plan.num_shards(), std::min(shards, 150));
-    std::vector<int> machines_seen(150, 0);
-    for (MachineId m = 0; m < 150; ++m) {
-      const int s = plan.shard_of_machine(m);
-      ASSERT_GE(s, 0);
-      ASSERT_LT(s, plan.num_shards());
-      machines_seen[static_cast<std::size_t>(m)] += 1;
-      EXPECT_EQ(plan.shard_of_link(fabric.uplink(m)), s);
-      EXPECT_EQ(plan.shard_of_link(fabric.downlink(m)), s);
-      // The link mask of exactly the owning shard covers both links.
-      for (int t = 0; t < plan.num_shards(); ++t) {
-        const auto& mask = plan.link_mask(t);
-        EXPECT_EQ(mask[static_cast<std::size_t>(fabric.uplink(m))] != 0,
-                  t == s);
-        EXPECT_EQ(mask[static_cast<std::size_t>(fabric.downlink(m))] != 0,
-                  t == s);
-      }
-    }
-    for (const int seen : machines_seen) EXPECT_EQ(seen, 1);
-  }
-}
-
-TEST(ShardPlan, BoundariesNestAcrossDoublings) {
-  // shard(m, N) == shard(m, 2N) / 2 for the floor-boundary scheme, so a
-  // group-local flow stays shard-local at every smaller power-of-two
-  // count — the property the scale bench's locality knob relies on.
-  const Fabric fabric(150, gbps(1.0));
-  for (const int n : {1, 2, 4}) {
-    const ShardPlan coarse(fabric, n);
-    const ShardPlan fine(fabric, 2 * n);
-    for (MachineId m = 0; m < 150; ++m) {
-      EXPECT_EQ(coarse.shard_of_machine(m), fine.shard_of_machine(m) / 2)
-          << "machine " << m << " at " << n << " vs " << 2 * n << " shards";
-    }
-  }
-}
-
-TEST(ShardPlan, ClampsShardCountToMachines) {
-  const Fabric fabric(3, gbps(1.0));
-  const ShardPlan plan(fabric, 16);
-  EXPECT_EQ(plan.num_shards(), 3);
-  EXPECT_TRUE(plan.matches(fabric, 16));
-  EXPECT_FALSE(plan.matches(fabric, 2));
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool reentrancy (the shard layer dispatches from sweep workers)
+// ThreadPool reentrancy (the block pool dispatches from sweep workers)
 
 TEST(ThreadPool, NestedRunFromWorkerExecutesInline) {
   ThreadPool pool(3);
@@ -214,44 +165,17 @@ TEST(ThreadPool, DistinctPoolsNestWithoutInterference) {
 }
 
 // ---------------------------------------------------------------------------
-// 1-vs-N equivalence on shard-local traces
+// 1-vs-N agreement on group-local traces
 
-// Policies whose sharded path must reproduce the serial rates exactly on
-// fully shard-local traces (every per-shard subproblem is the serial
-// problem restricted to that shard's links).
-const char* const kExactPolicies[] = {"tcp", "fifo", "aalo", "psp",
-                                      "varys"};
-// The remaining policies agree with serial to fp noise only: drf and hug
-// reduce per-block partial sums in block order, baraat's sharded backfill
-// subtracts the fill's residual in a different order than its serial
-// pass, and the endpoint-fair weighted waterfill accumulates freeze
-// levels in a different order per shard than globally.
-const char* const kNearPolicies[] = {"drf", "hug", "baraat", "persource",
-                                     "perpair"};
-
-TEST(ShardEquivalence, LocalTracesMatchSerialBitwise) {
-  const Fabric fabric(32, gbps(1.0));
-  const Trace trace =
-      grouped_trace(fabric, 4, 7, /*num_coflows=*/40, /*max_flows=*/6,
-                    /*locality=*/1.0);
-  const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : kExactPolicies) {
-    const Allocation serial = run_alloc(policy, 1, snap);
-    const Allocation sharded = run_alloc(policy, 4, snap);
-    for (const ActiveCoflow& c : snap.input.coflows) {
-      for (const ActiveFlow& f : c.flows) {
-        EXPECT_EQ(serial.rate(f.id), sharded.rate(f.id))
-            << policy << " flow " << f.id;
-      }
-    }
-  }
-}
+// drf and hug reduce per-block partial sums in block order, so they agree
+// with serial to fp noise, not bitwise.
+const char* const kShardedPolicies[] = {"drf", "hug"};
 
 TEST(ShardEquivalence, LocalTracesMatchSerialClosely) {
   const Fabric fabric(32, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 11, 40, 6, 1.0);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : kNearPolicies) {
+  for (const char* policy : kShardedPolicies) {
     const Allocation serial = run_alloc(policy, 1, snap);
     const Allocation sharded = run_alloc(policy, 4, snap);
     for (const ActiveCoflow& c : snap.input.coflows) {
@@ -265,177 +189,8 @@ TEST(ShardEquivalence, LocalTracesMatchSerialClosely) {
   }
 }
 
-TEST(ShardEquivalence, PspShardedIsBitwiseExactEvenCrossShard) {
-  // psp's sharded path only parallelizes the per-flow share arithmetic
-  // and applies serially in the serial order, so it is exact for every
-  // trace, not just local ones.
-  const Fabric fabric(32, gbps(1.0));
-  const Trace trace = grouped_trace(fabric, 4, 13, 40, 6, /*locality=*/0.5);
-  const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  const Allocation serial = run_alloc("psp", 1, snap);
-  const Allocation sharded = run_alloc("psp", 4, snap);
-  for (const ActiveCoflow& c : snap.input.coflows) {
-    for (const ActiveFlow& f : c.flows) {
-      EXPECT_EQ(serial.rate(f.id), sharded.rate(f.id)) << "flow " << f.id;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Sharded priority fill over the incremental (event-maintained) queue
-// state: the run_alloc cases above feed arrivals once and allocate once,
-// so they never exercise ShardedPriorityFill consuming an order that
-// PriorityOrder maintained through churn. These do — the serial and
-// sharded schedulers see the identical event stream (finishes,
-// departures, pristine re-arrivals, attained-service drift) and must stay
-// in lockstep at every step.
-
-// One churned world driving a serial and a sharded build of the same
-// policy through identical event hooks.
-class ChurnPair {
- public:
-  ChurnPair(const std::string& name, const Fabric& fabric,
-            const Trace& trace, std::uint64_t seed)
-      : rng_(seed), snap_(snapshot_all_active(fabric, trace, true)) {
-    SchedulerOptions four;
-    four.shards = 4;
-    serial_ = make_scheduler(name);
-    sharded_ = make_scheduler(name, four);
-    for (const ActiveCoflow& view : snap_.input.coflows) {
-      pristine_.push_back(view);
-    }
-    pristine_sizes_ = *snap_.remaining;
-    for (Scheduler* s : schedulers()) {
-      if (!s->wants_events()) continue;
-      s->on_reset(fabric);
-      for (const ActiveCoflow& c : snap_.input.coflows) {
-        s->on_coflow_arrival(c);
-      }
-    }
-  }
-
-  ScheduleInput& input() { return snap_.input; }
-  Allocation allocate_serial() { return serial_->allocate(snap_.input); }
-  Allocation allocate_sharded() { return sharded_->allocate(snap_.input); }
-
-  // Drift + one flow finish (departing a drained coflow) + an occasional
-  // pristine re-arrival of a departed coflow, all mirrored into both
-  // schedulers' hooks.
-  void step() {
-    for (ActiveCoflow& view : snap_.input.coflows) {
-      double moved = 0.0;
-      for (const ActiveFlow& f : view.flows) {
-        double& rem = (*snap_.remaining)[static_cast<std::size_t>(f.id)];
-        const double delta = rem * rng_.uniform(0.0, 0.4);
-        rem -= delta;
-        moved += delta;
-      }
-      view.attained_bits += moved;
-    }
-    if (!snap_.input.coflows.empty()) {
-      const auto k = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(snap_.input.coflows.size()) - 1));
-      ActiveCoflow& view = snap_.input.coflows[k];
-      const ActiveFlow finished = view.flows.back();
-      view.flows.pop_back();
-      view.finished_flows.push_back(finished);
-      auto& rem = (*snap_.remaining)[static_cast<std::size_t>(finished.id)];
-      view.attained_bits += rem;
-      rem = 0.0;
-      for (Scheduler* s : schedulers()) {
-        if (s->wants_events()) s->on_flow_finish(finished);
-      }
-      if (view.flows.empty()) {
-        const CoflowId id = view.id;
-        parked_.push_back(id);
-        snap_.input.coflows[k] = std::move(snap_.input.coflows.back());
-        snap_.input.coflows.pop_back();
-        for (Scheduler* s : schedulers()) {
-          if (s->wants_events()) s->on_coflow_departure(id);
-        }
-      }
-    }
-    if (!parked_.empty() && rng_.bernoulli(0.5)) {
-      const CoflowId id = parked_.back();
-      parked_.pop_back();
-      ActiveCoflow revived = pristine_[static_cast<std::size_t>(id)];
-      for (const ActiveFlow& f : revived.flows) {
-        (*snap_.remaining)[static_cast<std::size_t>(f.id)] =
-            pristine_sizes_[static_cast<std::size_t>(f.id)];
-      }
-      revived.attained_bits = rng_.uniform(0.0, 5e8);
-      snap_.input.coflows.push_back(std::move(revived));
-      for (Scheduler* s : schedulers()) {
-        if (s->wants_events()) {
-          s->on_coflow_arrival(snap_.input.coflows.back());
-        }
-      }
-    }
-  }
-
-  bool empty() const { return snap_.input.coflows.empty(); }
-
- private:
-  std::vector<Scheduler*> schedulers() {
-    return {serial_.get(), sharded_.get()};
-  }
-
-  Rng rng_;
-  Snapshot snap_;
-  std::unique_ptr<Scheduler> serial_;
-  std::unique_ptr<Scheduler> sharded_;
-  std::vector<ActiveCoflow> pristine_;   // indexed by CoflowId
-  std::vector<double> pristine_sizes_;   // indexed by FlowId
-  std::vector<CoflowId> parked_;         // departed, eligible to revive
-};
-
-TEST(ShardedPriorityState, LocalTraceChurnStaysBitwiseIdentical) {
-  // Shard-local trace: the sharded priority fill must track the serial
-  // one bit for bit at every churn step, for every policy whose sharded
-  // path is exact.
-  const Fabric fabric(32, gbps(1.0));
-  for (const char* policy : {"fifo", "aalo", "varys"}) {
-    const Trace trace = grouped_trace(fabric, 4, 19, 30, 6,
-                                      /*locality=*/1.0);
-    ChurnPair pair(policy, fabric, trace, /*seed=*/77);
-    for (int step = 0; step < 30 && !pair.empty(); ++step) {
-      const Allocation serial = pair.allocate_serial();
-      const Allocation sharded = pair.allocate_sharded();
-      for (const ActiveCoflow& c : pair.input().coflows) {
-        for (const ActiveFlow& f : c.flows) {
-          ASSERT_EQ(serial.rate(f.id), sharded.rate(f.id))
-              << policy << " step " << step << " flow " << f.id;
-        }
-      }
-      pair.step();
-    }
-  }
-}
-
-TEST(ShardedPriorityState, CrossShardChurnKeepsTotalRateAndFeasibility) {
-  // Cross-shard traffic: rates may diverge through the reconcile rounds,
-  // but the churned sharded path must stay feasible and keep >= 95% of
-  // the serial total rate at every step.
-  const Fabric fabric(32, gbps(1.0));
-  for (const char* policy : {"fifo", "aalo", "baraat"}) {
-    const Trace trace = grouped_trace(fabric, 4, 23, 30, 6,
-                                      /*locality=*/0.6);
-    ChurnPair pair(policy, fabric, trace, /*seed=*/131);
-    for (int step = 0; step < 30 && !pair.empty(); ++step) {
-      const Allocation serial = pair.allocate_serial();
-      const Allocation sharded = pair.allocate_sharded();
-      EXPECT_NO_THROW(check_capacity(pair.input(), sharded, 1e-6))
-          << policy << " step " << step;
-      const double base = total_rate(pair.input(), serial);
-      const double got = total_rate(pair.input(), sharded);
-      EXPECT_GE(got, 0.95 * base) << policy << " step " << step;
-      pair.step();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard traces: feasibility, bounded divergence, determinism
+// Cross-group traces: feasibility, agreement with serial, determinism
 
 class ShardCrossTraffic : public ::testing::TestWithParam<int> {};
 
@@ -446,7 +201,7 @@ TEST_P(ShardCrossTraffic, FeasibleAndNearWorkConserving) {
       fabric, 4, static_cast<std::uint64_t>(seed) * 977 + 5, 30, 8,
       /*locality=*/0.7);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : {"tcp", "fifo", "varys", "aalo"}) {
+  for (const char* policy : kShardedPolicies) {
     const Allocation serial = run_alloc(policy, 1, snap);
     const Allocation sharded = run_alloc(policy, 4, snap);
     // Never infeasible, never negative.
@@ -456,11 +211,12 @@ TEST_P(ShardCrossTraffic, FeasibleAndNearWorkConserving) {
         EXPECT_GE(sharded.rate(f.id), 0.0) << policy << " flow " << f.id;
       }
     }
-    // Bounded divergence: the default two-round reconcile keeps at least
-    // 95% of the serial allocator's total rate.
+    // The block split changes only the grouping of the P* sums, so the
+    // sharded total matches the serial one to fp noise.
     const double base = total_rate(snap.input, serial);
     const double got = total_rate(snap.input, sharded);
-    EXPECT_GE(got, 0.95 * base) << policy << " seed " << seed;
+    EXPECT_NEAR(got, base, 1e-9 * std::max(base, 1.0))
+        << policy << " seed " << seed;
   }
 }
 
@@ -468,20 +224,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardCrossTraffic,
                          ::testing::Range(0, 100));
 
 TEST(ShardCrossTraffic, DrfShardedTracksSerialClosely) {
-  // drf has no cross-shard reconcile approximation (the progress scalar
+  // The block path has no cross-group approximation (the progress scalar
   // and rate pass are exact up to block-sum grouping), so even heavily
-  // cross-shard traffic must reproduce serial rates to fp noise.
+  // cross-group traffic must reproduce serial rates to fp noise — for drf
+  // and for hug, whose stage 1 is the same code.
   const Fabric fabric(40, gbps(1.0));
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    const Trace trace = grouped_trace(fabric, 4, seed, 30, 8, 0.2);
-    const Snapshot snap = snapshot_all_active(fabric, trace, true);
-    const Allocation serial = run_alloc("drf", 1, snap);
-    const Allocation sharded = run_alloc("drf", 4, snap);
-    for (const ActiveCoflow& c : snap.input.coflows) {
-      for (const ActiveFlow& f : c.flows) {
-        const double a = serial.rate(f.id);
-        EXPECT_NEAR(a, sharded.rate(f.id), 1e-9 * std::max(a, 1.0))
-            << "seed " << seed << " flow " << f.id;
+  for (const char* policy : kShardedPolicies) {
+    for (const std::uint64_t seed : {3u, 17u, 91u}) {
+      const Trace trace = grouped_trace(fabric, 4, seed, 30, 8, 0.2);
+      const Snapshot snap = snapshot_all_active(fabric, trace, true);
+      const Allocation serial = run_alloc(policy, 1, snap);
+      const Allocation sharded = run_alloc(policy, 4, snap);
+      for (const ActiveCoflow& c : snap.input.coflows) {
+        for (const ActiveFlow& f : c.flows) {
+          const double a = serial.rate(f.id);
+          EXPECT_NEAR(a, sharded.rate(f.id), 1e-9 * std::max(a, 1.0))
+              << policy << " seed " << seed << " flow " << f.id;
+        }
       }
     }
   }
@@ -491,7 +250,7 @@ TEST(ShardDeterminism, RepeatedShardedAllocationsAreBitwiseStable) {
   const Fabric fabric(40, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 23, 30, 8, 0.6);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : {"tcp", "fifo", "drf", "varys"}) {
+  for (const char* policy : kShardedPolicies) {
     const Allocation first = run_alloc(policy, 4, snap);
     for (int repeat = 0; repeat < 3; ++repeat) {
       const Allocation again = run_alloc(policy, 4, snap);
@@ -526,19 +285,26 @@ TEST(ShardRegistry, RejectsMalformedOrUnsupportedSuffixes) {
   EXPECT_THROW(make_scheduler("@4"), CheckError);
   EXPECT_THROW(make_scheduler("drf@99999999999"), CheckError);  // overflow
   EXPECT_THROW(make_scheduler("drf@+4"), CheckError);
-  // NC-DRF has no sharded path.
-  EXPECT_THROW(make_scheduler("ncdrf@4"), CheckError);
-  EXPECT_THROW(make_scheduler("ncdrf-live@2"), CheckError);
+  // Only drf and hug have a sharded path.
+  for (const char* name :
+       {"ncdrf@4", "ncdrf-live@2", "tcp@4", "fifo@4", "aalo@4", "varys@4",
+        "baraat@4", "persource@4", "perpair@4", "psp@4", "psp-live@4",
+        "karma@4"}) {
+    EXPECT_THROW(make_scheduler(name), CheckError) << name;
+  }
   SchedulerOptions two;
   two.shards = 2;
   EXPECT_THROW(make_scheduler("ncdrf", two), CheckError);
   EXPECT_NE(make_scheduler("drf@2"), nullptr);
+  EXPECT_NE(make_scheduler("hug@4"), nullptr);
+  // "@1" is the serial path and stays valid for every policy.
+  EXPECT_NE(make_scheduler("tcp@1"), nullptr);
 }
 
 TEST(ShardRegistry, PoolThreadsAreClampedToHardware) {
-  // 64 shards on a 64-machine fabric: every shard still runs, on at most
-  // one worker per hardware thread, and the shard-local trace allocates
-  // as the serial path does (drf agrees to fp noise, see kNearPolicies).
+  // 64 blocks: every block still runs, on at most one worker per hardware
+  // thread, and the trace allocates as the serial path does (drf agrees
+  // to fp noise, see kShardedPolicies).
   const Fabric fabric(64, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 64, 37, 20, 3, 1.0);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
@@ -566,7 +332,7 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
   const Trace trace = grouped_trace(fabric, 4, 31, 10, 4, 0.8);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
 
-  const auto serial = make_scheduler("fifo", SchedulerOptions{});
+  const auto serial = make_scheduler("drf", SchedulerOptions{});
   serial->allocate(snap.input);
   ASSERT_NE(serial->perf_counters(), nullptr);
   EXPECT_EQ(serial->perf_counters()->shard_regions, 0);
@@ -574,7 +340,7 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
 
   SchedulerOptions four;
   four.shards = 4;
-  const auto sharded = make_scheduler("fifo", four);
+  const auto sharded = make_scheduler("drf", four);
   sharded->allocate(snap.input);
   const SchedPerf* perf = sharded->perf_counters();
   ASSERT_NE(perf, nullptr);
@@ -585,36 +351,13 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
   EXPECT_GE(perf->shard_critical_seconds, 0.0);
 }
 
-TEST(ShardSim, ShardedFifoSimulatesLocalTraceLikeSerial) {
-  // End-to-end through the simulator: on a fully shard-local trace the
-  // sharded path allocates identically, so every completion time matches.
-  const Fabric fabric(16, gbps(1.0));
-  const Trace trace = grouped_trace(fabric, 4, 37, 12, 4, 1.0);
-
-  const auto serial = make_scheduler("fifo");
-  SimOptions options;
-  options.record_intervals = false;
-  const RunResult base = simulate(fabric, trace, *serial, options);
-
-  const auto sharded = make_scheduler("fifo@4");
-  options.reconcile.max_iterations = 4;  // forwarded via ScheduleInput
-  options.validate_allocations = true;
-  const RunResult run = simulate(fabric, trace, *sharded, options);
-
-  ASSERT_EQ(run.coflows.size(), base.coflows.size());
-  EXPECT_NEAR(run.total_bits_delivered, base.total_bits_delivered,
-              1e-3 * base.total_bits_delivered);
-  for (std::size_t k = 0; k < base.coflows.size(); ++k) {
-    EXPECT_NEAR(run.coflows[k].cct, base.coflows[k].cct,
-                1e-6 * base.coflows[k].cct)
-        << "coflow " << k;
-  }
-}
-
 TEST(ShardSim, CrossShardTraceCompletesUnderValidation) {
+  // End-to-end through the simulator: the block path of hug (DRF stage 1
+  // plus the serial stage 2) never oversubscribes a link on cross-group
+  // traffic and finishes every coflow.
   const Fabric fabric(16, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 41, 12, 4, 0.5);
-  const auto sched = make_scheduler("varys@4");
+  const auto sched = make_scheduler("hug@4");
   SimOptions options;
   options.record_intervals = false;
   options.validate_allocations = true;  // throws on oversubscription
@@ -649,7 +392,7 @@ Trace theorem_instance(std::uint64_t seed, int machines, int coflows) {
 }
 
 TEST(ShardTheorem1, EnvelopeHoldsAgainstShardedDrfBaseline) {
-  // drf@4 reproduces serial DRF to fp noise (no reconcile approximation),
+  // drf@4 reproduces serial DRF to fp noise (no cross-group approximation),
   // so NC-DRF must stay within the e_max envelope of the *sharded*
   // clairvoyant baseline too — the long-term isolation guarantee survives
   // the parallel allocation path.

@@ -3,14 +3,16 @@
 
 Reads one or more JSON files produced by bench/bench_scale --json, merges
 their rows into a {policy x shard-count x coflow-count} matrix, writes a
-compact BENCH_scale.json, and enforces two floors:
+compact BENCH_scale.json (every cell carries the wall speedup vs 1 shard
+beside the modeled one), and enforces two floors:
 
   * modeled speedup: for each guarded policy, modeled events/s at
     GUARD_SHARDS shards must be at least MIN_SPEEDUP x the 1-shard value
     at GUARD_COFLOWS coflows. The modeled time is main-thread CPU plus
-    the shard critical path (max per-shard CPU per parallel region), so
+    the shard critical path (max per-block CPU per parallel region), so
     the ratio holds on any host - including single-core CI runners where
-    wall clock cannot show parallel speedup.
+    wall clock cannot show parallel speedup. The wall speedup is printed
+    next to it but not gated.
   * absolute throughput: the 1-shard wall events/s at GUARD_COFLOWS must
     clear MIN_SERIAL_EVENTS_PER_S for every guarded policy, so a broad
     serial regression cannot hide inside a still-healthy ratio.
@@ -25,9 +27,8 @@ MIN_SPEEDUP = 1.8
 MIN_SERIAL_EVENTS_PER_S = 2.0
 GUARD_COFLOWS = 10000
 GUARD_SHARDS = 4
-# drf exercises the parallel demand-refresh/progress path; varys is the
-# fill-based representative (sorted fill + sharded waterfill backfill).
-GUARDED_POLICIES = ("drf", "varys")
+# drf is the block-parallel demand-refresh/progress path that hug@N reuses.
+GUARDED_POLICIES = ("drf",)
 
 REQUIRED_FIELDS = (
     "policy",
@@ -53,6 +54,15 @@ def load_rows(paths):
                 raise ValueError(f"{path}: row missing fields {missing}")
             rows.append(row)
     return rows
+
+
+def speedup_text(cell):
+    """'1.71x wall, 2.31x modeled' for a cell with both speedups."""
+    return ", ".join(
+        f"{cell[f'{kind}_speedup_vs_1shard']:.2f}x {kind}"
+        for kind in ("wall", "modeled")
+        if f"{kind}_speedup_vs_1shard" in cell
+    )
 
 
 def main(argv):
@@ -90,7 +100,7 @@ def main(argv):
                 row["events"] / modeled if modeled > 0 else 0.0
             ),
         }
-        for extra in ("locality", "fp_iters", "fp_tol", "racks"):
+        for extra in ("locality", "racks"):
             if extra in row:
                 cell[extra] = row[extra]
         matrix.setdefault(row["policy"], {}).setdefault(
@@ -106,19 +116,21 @@ def main(argv):
             for shards, cell in sorted(
                 by_shards.items(), key=lambda kv: int(kv[0])
             ):
-                speedup = None
-                if base is not None and base["modeled_events_per_s"] > 0:
-                    speedup = (
-                        cell["modeled_events_per_s"]
-                        / base["modeled_events_per_s"]
-                    )
-                    cell["modeled_speedup_vs_1shard"] = speedup
+                speedups = ""
+                if base is not None:
+                    for kind in ("wall", "modeled"):
+                        if base[f"{kind}_events_per_s"] > 0:
+                            cell[f"{kind}_speedup_vs_1shard"] = (
+                                cell[f"{kind}_events_per_s"]
+                                / base[f"{kind}_events_per_s"]
+                            )
+                    speedups = speedup_text(cell)
                 print(
                     f"{policy:>8} @{int(coflows):>6} coflows, "
                     f"{int(shards)} shard(s): "
                     f"wall {cell['wall_events_per_s']:8.1f} ev/s, "
                     f"modeled {cell['modeled_events_per_s']:8.1f} ev/s"
-                    + (f", speedup {speedup:5.2f}x" if speedup else "")
+                    + (f", speedup {speedups}" if speedups else "")
                 )
 
     for policy in GUARDED_POLICIES:
@@ -141,8 +153,13 @@ def main(argv):
         speedup = target.get("modeled_speedup_vs_1shard", 0.0)
         if speedup < MIN_SPEEDUP:
             failures.append(
-                f"{policy}@{GUARD_COFLOWS}: modeled {GUARD_SHARDS}-shard "
-                f"speedup {speedup:.2f}x below floor {MIN_SPEEDUP}x"
+                f"{policy}@{GUARD_COFLOWS}: {GUARD_SHARDS}-shard speedup "
+                f"{speedup_text(target)} below floor {MIN_SPEEDUP}x modeled"
+            )
+        else:
+            print(
+                f"guard ok: {policy}@{GUARD_COFLOWS} {GUARD_SHARDS}-shard "
+                f"speedup {speedup_text(target)} >= {MIN_SPEEDUP}x modeled"
             )
 
     out = {
@@ -150,7 +167,7 @@ def main(argv):
             "Event-replay throughput per {policy, shard count, coflow "
             "count}: wall events/s plus the modeled events/s (main-thread "
             "CPU + shard critical path) that the speedup guard uses; "
-            "speedup = modeled events/s vs the same policy at 1 shard"
+            "wall/modeled speedup = events/s vs the same policy at 1 shard"
         ),
         "source": "bench/bench_scale.cc",
         "guard": {

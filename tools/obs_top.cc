@@ -102,7 +102,11 @@ void render(const SnapshotRow& row, std::ostream& out) {
   AsciiTable counters({"counter", "total", "delta", "rate/s"});
   bool any_counter = false;
   for (const auto& [name, values] : row.counters) {
-    if (client_metric(name, client, field)) continue;
+    // Pivoted above; serve.client.N.invalid.<reason> stays listed here.
+    if (client_metric(name, client, field) &&
+        field.find('.') == std::string::npos) {
+      continue;
+    }
     counters.add_row({name, AsciiTable::fmt(values[0], 0),
                       AsciiTable::fmt(values[1], 0),
                       AsciiTable::fmt(values[2], 1)});
