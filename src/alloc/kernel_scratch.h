@@ -8,8 +8,8 @@
 // uplink, downlink, optional per-endpoint divisor counts from
 // LinkLoadState, and a zero-initialized rate accumulator — so every later
 // pass is a branch-light sweep over int32/double arrays the compiler can
-// vectorize, and the Allocation hash/dense-table write happens once per
-// flow at commit().
+// vectorize, and the Allocation write (a hashed-index insert) happens once
+// per flow at commit().
 //
 // Layout contract (see docs/ARCHITECTURE.md §7): columns are index-aligned
 // (entry i of every column describes the same flow), flows appear in

@@ -35,15 +35,17 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
   state.weight = msg.weight;
   state.tenant = msg.tenant;
   state.sizes_known = msg.sizes_known;
-  // All or nothing: an id that is already registered, or repeated within
-  // the message, rolls back this message's flows before the throw, so a
-  // rejected registration leaves the view exactly as it was.
+  // All or nothing: a negative id (the clairvoyant remaining-size table
+  // is indexed by id), or an id that is already registered or repeated
+  // within the message, rolls back this message's flows before the throw,
+  // so a rejected registration leaves the view exactly as it was.
   const auto add = [&](const Flow& f, bool finished) {
     // Already delivered in full: attained equals the (observable) size.
     const FlowState fs{f, finished, finished ? f.size_bits : 0.0};
-    if (!flow_states_.try_emplace(f.id, fs).second) {
+    if (f.id < 0 || !flow_states_.try_emplace(f.id, fs).second) {
       for (const FlowId added : state.flows) flow_states_.erase(added);
-      NCDRF_CHECK(false, "duplicate flow registration");
+      NCDRF_CHECK(false, f.id < 0 ? "negative flow id in registration"
+                                  : "duplicate flow registration");
     }
     state.flows.push_back(f.id);
   };

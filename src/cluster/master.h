@@ -88,6 +88,9 @@ class Master {
                                           std::vector<SlaveRates>& per_slave);
 
   int active_coflows() const;
+  // True while the master keeps a state for `flow`: registered and not
+  // yet forgotten (with forget_retired, until its coflow retires).
+  bool holds_flow(FlowId flow) const { return flow_states_.contains(flow); }
   bool slave_dead(MachineId machine) const {
     return dead_slaves_.contains(machine);
   }

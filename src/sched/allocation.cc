@@ -1,5 +1,6 @@
 #include "sched/allocation.h"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -10,10 +11,19 @@ namespace ncdrf {
 
 double Allocation::total_rate() const {
   double total = 0.0;
-  for (const double rate : rates_) {
-    if (rate != kAbsent) total += rate;
-  }
+  for (const double rate : rates_) total += rate;
   return total;
+}
+
+void Allocation::rehash(std::size_t slots) {
+  index_.assign(slots, -1);
+  shift_ = 64 - std::countr_zero(slots);
+  const std::size_t mask = slots - 1;
+  for (std::size_t pos = 0; pos < ids_.size(); ++pos) {
+    std::size_t slot = home(ids_[pos]);
+    while (index_[slot] >= 0) slot = (slot + 1) & mask;
+    index_[slot] = static_cast<std::int32_t>(pos);
+  }
 }
 
 void link_usage(const ScheduleInput& input, const Allocation& alloc,

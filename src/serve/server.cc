@@ -35,6 +35,7 @@ const char* invalid_reason(const Submission& s, int num_machines) {
     }
     if (!std::isfinite(f.size_bits) || f.size_bits < 0.0) return "size";
     if (s.coflow < 0 || f.coflow != s.coflow) return "coflow";
+    if (f.id < 0) return "flow_id";
   }
   return nullptr;
 }
@@ -132,7 +133,9 @@ int ServeFront::admit_batch(double now) {
   batch_.clear();
   // Round-robin, one submission per client per round: the batch cap can
   // never starve a client behind another's burst. A malformed submission
-  // is dropped and counted here, taking no batch slot.
+  // is dropped and counted here, taking no batch slot. Each one that
+  // passes is registered at once, so a later one in the same batch that
+  // reuses its ids is caught by the duplicate screen.
   bool any = true;
   while (any && (options_.max_batch_per_epoch <= 0 ||
                  static_cast<int>(batch_.size()) <
@@ -146,62 +149,79 @@ int ServeFront::admit_batch(double now) {
       if (queue->drain(1, batch_) == 0) continue;
       any = true;
       const char* reason = invalid_reason(batch_.back(), num_machines_);
-      if (reason == nullptr) continue;
-      batch_.pop_back();
-      ++invalid_;
-      if (options_.metrics != nullptr) {
-        options_.metrics
-            ->counter("serve.client." + std::to_string(queue->client()) +
-                      ".invalid." + reason)
-            .inc();
+      if (reason == nullptr && reuses_ids(batch_.back())) {
+        reason = "duplicate";
       }
-    }
-  }
-  for (Submission& s : batch_) {
-    RegisterCoflowMsg msg;
-    msg.coflow = s.coflow;
-    msg.arrival_time = s.submit_time;
-    msg.weight = s.weight;
-    msg.tenant = s.client;  // client attribution for tenant-aware policies
-    msg.sizes_known = s.sizes_known;
-    msg.trace_id = s.trace_id;
-    msg.flows = s.flows;
-    if (!s.sizes_known) {
-      // The non-clairvoyant contract: sizes never cross the register API.
-      for (Flow& f : msg.flows) f.size_bits = 0.0;
-    }
-    master_.on_register(msg);
-    auto& flows = live_flows_[s.coflow];
-    flows.reserve(s.flows.size());
-    for (const Flow& f : s.flows) {
-      flows.push_back(f.id);
-      awaiting_push_.emplace(f.id, AwaitingPush{s.submit_time, s.coflow});
-    }
-    causal_.emplace(s.coflow, Causal{s.trace_id, s.submit_time, now, -1.0});
-    awaiting_alloc_.push_back(s.coflow);
-    if (s.lifetime_s > 0.0) {
-      departures_.push(Departure{now + s.lifetime_s, s.coflow});
-    }
-    ++admitted_;
-    if (admitted_counter_ != nullptr) admitted_counter_->inc();
-    if (admit_latency_ != nullptr) {
-      admit_latency_->observe(now - s.submit_time);
-    }
-    if (stage_queue_ != nullptr) stage_queue_->observe(now - s.submit_time);
-    NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeAdmit, now,
-                        s.coflow, static_cast<std::int64_t>(s.trace_id),
-                        now - s.submit_time);
-    if (admit_hook) {
-      double bits = 0.0;
-      for (const Flow& f : s.flows) bits += f.size_bits;
-      admit_hook(AdmitRecord{s.coflow, s.client, s.submit_time, now,
-                             static_cast<int>(s.flows.size()), bits});
+      if (reason == nullptr) {
+        admit(batch_.back(), now);
+        continue;
+      }
+      batch_.pop_back();
+      count_invalid("serve.client." + std::to_string(queue->client()) +
+                    ".invalid." + reason);
     }
   }
   if (batch_size_ != nullptr && !batch_.empty()) {
     batch_size_->observe(static_cast<double>(batch_.size()));
   }
   return static_cast<int>(batch_.size());
+}
+
+bool ServeFront::reuses_ids(const Submission& s) {
+  if (live_flows_.contains(s.coflow)) return true;
+  id_scratch_.clear();
+  for (const Flow& f : s.flows) {
+    if (master_.holds_flow(f.id)) return true;
+    id_scratch_.push_back(f.id);
+  }
+  std::sort(id_scratch_.begin(), id_scratch_.end());
+  return std::adjacent_find(id_scratch_.begin(), id_scratch_.end()) !=
+         id_scratch_.end();
+}
+
+void ServeFront::count_invalid(const std::string& counter) {
+  ++invalid_;
+  if (options_.metrics != nullptr) options_.metrics->counter(counter).inc();
+}
+
+void ServeFront::admit(const Submission& s, double now) {
+  RegisterCoflowMsg msg;
+  msg.coflow = s.coflow;
+  msg.arrival_time = s.submit_time;
+  msg.weight = s.weight;
+  msg.tenant = s.client;  // client attribution for tenant-aware policies
+  msg.sizes_known = s.sizes_known;
+  msg.trace_id = s.trace_id;
+  msg.flows = s.flows;
+  if (!s.sizes_known) {
+    // The non-clairvoyant contract: sizes never cross the register API.
+    for (Flow& f : msg.flows) f.size_bits = 0.0;
+  }
+  master_.on_register(msg);
+  auto& flows = live_flows_[s.coflow];
+  flows.reserve(s.flows.size());
+  for (const Flow& f : s.flows) {
+    flows.push_back(f.id);
+    awaiting_push_.emplace(f.id, AwaitingPush{s.submit_time, s.coflow});
+  }
+  causal_.emplace(s.coflow, Causal{s.trace_id, s.submit_time, now, -1.0});
+  awaiting_alloc_.push_back(s.coflow);
+  if (s.lifetime_s > 0.0) {
+    departures_.push(Departure{now + s.lifetime_s, s.coflow});
+  }
+  ++admitted_;
+  if (admitted_counter_ != nullptr) admitted_counter_->inc();
+  if (admit_latency_ != nullptr) admit_latency_->observe(now - s.submit_time);
+  if (stage_queue_ != nullptr) stage_queue_->observe(now - s.submit_time);
+  NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeAdmit, now,
+                      s.coflow, static_cast<std::int64_t>(s.trace_id),
+                      now - s.submit_time);
+  if (admit_hook) {
+    double bits = 0.0;
+    for (const Flow& f : s.flows) bits += f.size_bits;
+    admit_hook(AdmitRecord{s.coflow, s.client, s.submit_time, now,
+                           static_cast<int>(s.flows.size()), bits});
+  }
 }
 
 void ServeFront::shed_over_watermark(double now) {
@@ -436,9 +456,12 @@ double ServeFront::run(scenario::WorkloadSource& source) {
     while (const Submission* due = source.peek()) {
       if (due->submit_time > now) break;
       Submission s = source.next();
-      NCDRF_CHECK(s.client >= 0 &&
-                      s.client < static_cast<int>(queues_.size()),
-                  "submission client out of range for this front-end");
+      // A submission for a client this front-end does not have is dropped
+      // and counted like an admission reject.
+      if (s.client < 0 || s.client >= static_cast<int>(queues_.size())) {
+        count_invalid("serve.invalid.client");
+        continue;
+      }
       // Open loop: a rejected submission is dropped (and counted by the
       // queue), never retried.
       queues_[static_cast<std::size_t>(s.client)]->try_enqueue(std::move(s));

@@ -158,9 +158,11 @@ class ServeFront {
   long long pushes_deferred() const { return pushes_deferred_; }
   long long total_rejected() const;
   long long total_shed() const;
-  // Submissions dropped at admission as malformed (no flows, an endpoint
-  // outside the fabric, a NaN/infinite/negative size, or a flow of another
-  // coflow); per client and reason in serve.client.N.invalid.<reason>.
+  // Submissions dropped as malformed: at admission (no flows, an endpoint
+  // outside the fabric, a NaN/infinite/negative size, a flow of another
+  // coflow, a negative flow id, or a duplicate id), per client and reason in
+  // serve.client.N.invalid.<reason>; and in run(), a submission for a
+  // client this front-end does not have, in serve.invalid.client.
   long long invalid() const { return invalid_; }
   std::size_t backlog() const;  // queued submissions across all clients
   Backpressure level() const { return level_; }
@@ -217,6 +219,15 @@ class ServeFront {
   void retire_due(double now);
   void shed_over_watermark(double now);
   int admit_batch(double now);
+  // Registers one screened submission with the master and opens its
+  // bookkeeping.
+  void admit(const Submission& s, double now);
+  // True when `s` reuses an id still in use: a coflow id live at this
+  // front-end, a flow id the master holds, or a flow id repeated within
+  // `s`. Master::on_register would ignore or throw on any of these.
+  bool reuses_ids(const Submission& s);
+  // Counts one dropped submission in invalid() and in `counter`.
+  void count_invalid(const std::string& counter);
   void reallocate(double now);
   void push_rates(double now);
   void publish_level(double now);
@@ -227,6 +238,7 @@ class ServeFront {
   std::vector<std::unique_ptr<SubmissionQueue>> queues_;
   std::vector<Submission> batch_;  // drain scratch, reused every epoch
   std::vector<FlowFinishedMsg> finish_batch_;  // retire scratch, ditto
+  std::vector<FlowId> id_scratch_;  // duplicate-screen scratch, ditto
 
   // Admitted-coflow bookkeeping for modeled departures.
   std::unordered_map<CoflowId, std::vector<FlowId>> live_flows_;

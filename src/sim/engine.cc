@@ -309,8 +309,8 @@ struct DynamicSimulator::Impl {
   }
 
   // Σ rates over the unfinished flows: the fabric's throughput in the
-  // interval. O(live flows), where Allocation::total_rate would walk the
-  // whole dense table.
+  // interval, summed in snapshot order. Allocation::total_rate sums in
+  // insertion order, which would reorder the floating-point sum.
   double live_rate_sum(const Allocation& alloc) const {
     double sum = 0.0;
     for (const auto& entry : active) {

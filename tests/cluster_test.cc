@@ -178,6 +178,14 @@ TEST(Master, RejectedRegistrationLeavesTheViewUnchanged) {
   EXPECT_EQ(master.active_coflows(), 1);
   EXPECT_FALSE(master.dirty());
 
+  RegisterCoflowMsg negative;  // a negative id behind a valid one
+  negative.coflow = 1;
+  negative.flows.push_back(Flow{7, 1, 1, 0, 0.0});
+  negative.flows.push_back(Flow{-3, 1, 1, 0, 0.0});
+  EXPECT_THROW(master.on_register(negative), CheckError);
+  EXPECT_EQ(master.active_coflows(), 1);
+  EXPECT_FALSE(master.dirty());
+
   RegisterCoflowMsg fixed;
   fixed.coflow = 1;
   fixed.flows.push_back(Flow{5, 1, 1, 0, 0.0});

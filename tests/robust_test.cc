@@ -20,6 +20,7 @@
 // dropped and counted at admission without disturbing anyone else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -37,6 +38,7 @@
 #include "common/units.h"
 #include "core/registry.h"
 #include "obs/metrics.h"
+#include "scenario/source.h"
 #include "scenario/spec.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
@@ -363,17 +365,49 @@ TEST(ServeAdmission, MalformedSubmissionsAreCountedAndIsolated) {
   bad.back().flows[0].size_bits = -1.0;
   bad.push_back(bad_one(0, 0.070, 100006));
   bad.back().flows[0].coflow = 7;  // a flow claiming another coflow
+  bad.push_back(bad_one(2, 0.072, 100010));
+  bad.back().flows[0].id = -5;
 
   long long clean_invalid = -1;
   const std::map<CoflowId, double> clean =
       serve_ccts(honest, {}, nullptr, &clean_invalid);
   EXPECT_EQ(clean_invalid, 0);
 
+  // Duplicate ids, taken from the honest load. First, a flow id repeated
+  // within one submission.
+  bad.push_back(bad_one(1, 0.075, 100007));
+  bad.back().flows.push_back(bad.back().flows[0]);
+  // An honest flow id reused in the same epoch, queued behind its owner.
+  const serve::Submission& same_epoch = honest[0][honest[0].size() / 2];
+  bad.push_back(bad_one(0, same_epoch.submit_time, 100008));
+  bad.back().flows[0].id = same_epoch.flows.back().id;
+  // An honest flow id reused an epoch later, while its coflow still drains
+  // (the master holds a coflow's flows until the whole coflow retires).
+  const serve::Submission* draining = nullptr;
+  for (const serve::Submission& s : honest[1]) {
+    if (s.submit_time > 0.02 && clean.at(s.coflow) > 3 * kServeEpoch) {
+      draining = &s;
+      break;
+    }
+  }
+  ASSERT_NE(draining, nullptr);
+  bad.push_back(bad_one(2, draining->submit_time + kServeEpoch, 100009));
+  bad.back().flows[0].id = draining->flows.front().id;
+  // An honest coflow id the front still tracks, with a fresh flow id.
+  const serve::Submission& tracked = honest[2][1];
+  bad.push_back(
+      bad_one(1, tracked.submit_time + kServeEpoch, tracked.coflow));
+  bad.back().flows[0].id = 2000000;
+  std::stable_sort(bad.begin(), bad.end(),
+                   [](const serve::Submission& a, const serve::Submission& b) {
+                     return a.submit_time < b.submit_time;
+                   });
+
   obs::MetricsRegistry metrics;
   long long invalid = -1;
   std::map<CoflowId, double> mixed;
   ASSERT_NO_THROW(mixed = serve_ccts(honest, bad, &metrics, &invalid));
-  EXPECT_EQ(invalid, 7);
+  EXPECT_EQ(invalid, 12);
   const auto count = [&](const std::string& name) {
     const auto it = metrics.counters().find(name);
     return it == metrics.counters().end() ? 0LL : it->second.value;
@@ -385,8 +419,118 @@ TEST(ServeAdmission, MalformedSubmissionsAreCountedAndIsolated) {
   EXPECT_EQ(count("serve.client.1.invalid.size"), 1);
   EXPECT_EQ(count("serve.client.2.invalid.size"), 1);
   EXPECT_EQ(count("serve.client.0.invalid.coflow"), 1);
+  EXPECT_EQ(count("serve.client.2.invalid.flow_id"), 1);
+  EXPECT_EQ(count("serve.client.0.invalid.duplicate"), 1);
+  EXPECT_EQ(count("serve.client.1.invalid.duplicate"), 2);
+  EXPECT_EQ(count("serve.client.2.invalid.duplicate"), 1);
 
   // The honest tenants never notice: every CCT is bitwise the clean one.
+  ASSERT_GT(clean.size(), 20u);
+  ASSERT_EQ(mixed.size(), clean.size());
+  for (const auto& [coflow, time] : clean) {
+    ASSERT_TRUE(mixed.contains(coflow)) << "coflow " << coflow;
+    EXPECT_EQ(mixed.at(coflow), time) << "coflow " << coflow;
+  }
+}
+
+// Per-coflow completion times of a ServeFront::run over `per_client`,
+// under a fluid model of the allocations it makes: each allocation's rates
+// hold until the next one, and a coflow completes when its last flow has
+// drained. The front itself retires coflows at their modeled lifetimes.
+std::map<CoflowId, double> run_ccts(
+    std::vector<std::vector<serve::Submission>> per_client,
+    obs::MetricsRegistry* metrics, long long* invalid) {
+  std::map<FlowId, double> remaining;
+  std::map<FlowId, CoflowId> owner;
+  std::map<CoflowId, int> live;
+  std::map<CoflowId, double> submitted;
+  for (const auto& schedule : per_client) {
+    for (const serve::Submission& s : schedule) {
+      if (s.client < 0 || s.client >= 2) continue;
+      for (const Flow& f : s.flows) {
+        remaining[f.id] = f.size_bits;
+        owner[f.id] = s.coflow;
+      }
+      live[s.coflow] = static_cast<int>(s.flows.size());
+      submitted[s.coflow] = s.submit_time;
+    }
+  }
+  std::map<CoflowId, double> cct;
+  std::map<FlowId, double> rate;
+  double last = 0.0;
+  const auto advance = [&](double to) {
+    for (auto it = remaining.begin(); it != remaining.end();) {
+      const double r = rate[it->first];
+      if (r <= 0.0 || it->second > r * (to - last)) {
+        it->second -= r * (to - last);
+        ++it;
+        continue;
+      }
+      const CoflowId coflow = owner.at(it->first);
+      if (--live.at(coflow) == 0) {
+        cct[coflow] = last + it->second / r - submitted.at(coflow);
+      }
+      it = remaining.erase(it);
+    }
+    last = to;
+  };
+
+  const Fabric fabric(kServeMachines, gbps(1.0));
+  const auto scheduler = make_scheduler("ncdrf");
+  serve::ServeOptions options;
+  options.epoch_s = kServeEpoch;
+  options.metrics = metrics;
+  serve::ServeFront front(fabric, *scheduler, 2, options);
+  front.alloc_hook = [&](double now, const ScheduleInput&,
+                         const Allocation& alloc) {
+    advance(now);
+    for (const auto& [flow, bits] : remaining) rate[flow] = alloc.rate(flow);
+  };
+  scenario::VectorSource source(std::move(per_client), kServeMachines);
+  front.run(source);
+  advance(last + 1e6);
+  *invalid = front.invalid();
+  return cct;
+}
+
+TEST(ServeAdmission, SubmissionForAnUnknownClientIsDroppedAndCounted) {
+  serve::LoadGenOptions load;
+  load.seed = 7;
+  load.num_clients = 2;
+  load.num_machines = kServeMachines;
+  load.arrival_rate_per_s = 400.0;
+  load.duration_s = 0.1;
+  load.mean_lifetime_s = 1.0;  // most coflows drain before they depart
+  const auto honest = serve::LoadGenerator(load).generate();
+
+  long long clean_invalid = -1;
+  const std::map<CoflowId, double> clean =
+      run_ccts(honest, nullptr, &clean_invalid);
+  EXPECT_EQ(clean_invalid, 0);
+
+  // The source yields a submission addressed to client 5 of 2, mid-run.
+  auto mixed_load = honest;
+  serve::Submission stray;
+  stray.coflow = 100000;
+  stray.client = 5;
+  stray.submit_time = 0.05;
+  stray.flows.push_back(Flow{1000000, 100000, 0, 1, 8e6});
+  auto& slot = mixed_load[0];
+  slot.insert(std::upper_bound(slot.begin(), slot.end(), stray.submit_time,
+                               [](double t, const serve::Submission& s) {
+                                 return t < s.submit_time;
+                               }),
+              stray);
+
+  obs::MetricsRegistry metrics;
+  long long invalid = -1;
+  std::map<CoflowId, double> mixed;
+  ASSERT_NO_THROW(mixed = run_ccts(mixed_load, &metrics, &invalid));
+  EXPECT_EQ(invalid, 1);
+  const auto it = metrics.counters().find("serve.invalid.client");
+  ASSERT_NE(it, metrics.counters().end());
+  EXPECT_EQ(it->second.value, 1);
+
   ASSERT_GT(clean.size(), 20u);
   ASSERT_EQ(mixed.size(), clean.size());
   for (const auto& [coflow, time] : clean) {

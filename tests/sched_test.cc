@@ -3,7 +3,12 @@
 // shares and wasted bandwidth, DRF's 1/3 Gbps shares and equal progress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "alloc/even_split.h"
 #include "alloc/waterfill.h"
@@ -51,6 +56,145 @@ TEST(Allocation, DefaultsToZeroAndValidates) {
   EXPECT_THROW(alloc.set_rate(2, -1.0), CheckError);
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(alloc.set_rate(2, inf), CheckError);
+}
+
+TEST(Allocation, AbsentIsDistinctFromExplicitZero) {
+  Allocation alloc;
+  EXPECT_TRUE(alloc.empty());
+  EXPECT_FALSE(alloc.has_rate(3));
+  alloc.set_rate(3, 0.0);
+  EXPECT_TRUE(alloc.has_rate(3));
+  EXPECT_EQ(alloc.rate(3), 0.0);
+  EXPECT_EQ(alloc.num_flows(), 1u);
+  EXPECT_FALSE(alloc.empty());
+
+  // add_rate on a flow with no rate yet starts from the increment itself.
+  EXPECT_FALSE(alloc.has_rate(9));
+  alloc.add_rate(9, 2.5);
+  EXPECT_TRUE(alloc.has_rate(9));
+  EXPECT_EQ(alloc.rate(9), 2.5);
+  alloc.add_rate(9, 0.25);
+  EXPECT_EQ(alloc.rate(9), 2.75);
+  alloc.add_rate(3, 1.0);
+  EXPECT_EQ(alloc.rate(3), 1.0);
+  EXPECT_EQ(alloc.num_flows(), 2u);
+  EXPECT_FALSE(alloc.has_rate(4));
+  EXPECT_EQ(alloc.rate(4), 0.0);
+}
+
+TEST(Allocation, NegativeIdsReadAsAbsentAndThrowOnWrite) {
+  Allocation alloc;
+  EXPECT_EQ(alloc.rate(-1), 0.0);
+  EXPECT_FALSE(alloc.has_rate(-1));
+  EXPECT_THROW(alloc.set_rate(-1, 1.0), CheckError);
+  alloc.set_rate(0, 4.0);
+  EXPECT_EQ(alloc.rate(-1), 0.0);
+  EXPECT_FALSE(alloc.has_rate(-1));
+  EXPECT_THROW(alloc.set_rate(-1, 1.0), CheckError);
+  EXPECT_THROW(alloc.add_rate(-7, 1.0), CheckError);
+  EXPECT_EQ(alloc.num_flows(), 1u);
+  EXPECT_EQ(alloc.rate(0), 4.0);
+}
+
+TEST(Allocation, IdsSpreadUpToIntMax) {
+  const int max = std::numeric_limits<int>::max();
+  const std::vector<FlowId> ids = {0,         1,       1 << 20, 123456789,
+                                   max - 1,   max,     1 << 30, 65536};
+  Allocation alloc;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    alloc.set_rate(ids[i], 1.0 + static_cast<double>(i));
+  }
+  EXPECT_EQ(alloc.num_flows(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE(alloc.has_rate(ids[i])) << ids[i];
+    EXPECT_EQ(alloc.rate(ids[i]), 1.0 + static_cast<double>(i)) << ids[i];
+  }
+  EXPECT_FALSE(alloc.has_rate(max - 2));
+  EXPECT_FALSE(alloc.has_rate(2));
+  EXPECT_EQ(alloc.rate(max - 2), 0.0);
+}
+
+TEST(Allocation, ManyIdsSurviveRehashesBitwise) {
+  // 100k distinct ids: a near-sequential run (the trace shape) and a
+  // scattered one, written without reserve so the index grows many times.
+  constexpr int kCount = 100000;
+  auto id_of = [](int i) {
+    return i % 2 == 0 ? 50000 + i / 2
+                      : static_cast<FlowId>((static_cast<long long>(i) *
+                                             2654435761LL) %
+                                            2000000000LL) +
+                            100000;
+  };
+  auto rate_of = [](int i) { return std::sqrt(static_cast<double>(i) + 2.0); };
+  std::vector<FlowId> ids;
+  ids.reserve(kCount);
+  for (int i = 0; i < kCount; ++i) ids.push_back(id_of(i));
+  std::vector<FlowId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+
+  Allocation alloc;
+  for (int i = 0; i < kCount; ++i) {
+    if (i % 3 == 0) {
+      alloc.add_rate(ids[static_cast<std::size_t>(i)], rate_of(i));
+    } else {
+      alloc.set_rate(ids[static_cast<std::size_t>(i)], rate_of(i));
+    }
+  }
+  ASSERT_EQ(alloc.num_flows(), static_cast<std::size_t>(kCount));
+  Allocation reserved;
+  reserved.reserve(kCount);
+  for (int i = kCount - 1; i >= 0; --i) {
+    reserved.set_rate(ids[static_cast<std::size_t>(i)], rate_of(i));
+  }
+  for (int i = 0; i < kCount; ++i) {
+    const FlowId id = ids[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(alloc.has_rate(id)) << id;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(alloc.rate(id)),
+              std::bit_cast<std::uint64_t>(rate_of(i)))
+        << id;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(reserved.rate(id)),
+              std::bit_cast<std::uint64_t>(rate_of(i)))
+        << id;
+  }
+  // Ids between the written ones stay absent.
+  EXPECT_FALSE(alloc.has_rate(49999));
+  EXPECT_FALSE(alloc.has_rate(50000 + kCount / 2));
+  EXPECT_EQ(reserved.num_flows(), static_cast<std::size_t>(kCount));
+}
+
+TEST(Allocation, CountsDistinctIdsSumsAndCopiesIndependently) {
+  Allocation alloc;
+  alloc.set_rate(10, 1.0);
+  alloc.set_rate(10, 2.0);
+  alloc.add_rate(10, 3.0);
+  alloc.add_rate(4, 8.0);
+  alloc.set_rate(700000, 16.0);
+  alloc.set_rate(4, 32.0);
+  EXPECT_EQ(alloc.num_flows(), 3u);
+  EXPECT_EQ(alloc.total_rate(), 5.0 + 32.0 + 16.0);
+
+  Allocation copy = alloc;
+  copy.set_rate(10, 100.0);
+  copy.set_rate(11, 1.0);
+  alloc.add_rate(4, 1.0);
+  alloc.set_rate(12, 2.0);
+  EXPECT_EQ(alloc.rate(10), 5.0);
+  EXPECT_FALSE(alloc.has_rate(11));
+  EXPECT_EQ(alloc.rate(4), 33.0);
+  EXPECT_EQ(copy.rate(10), 100.0);
+  EXPECT_EQ(copy.rate(4), 32.0);
+  EXPECT_FALSE(copy.has_rate(12));
+  EXPECT_EQ(alloc.num_flows(), 4u);
+  EXPECT_EQ(copy.num_flows(), 4u);
+  EXPECT_EQ(alloc.total_rate(), 5.0 + 33.0 + 16.0 + 2.0);
+  EXPECT_EQ(copy.total_rate(), 100.0 + 32.0 + 16.0 + 1.0);
+
+  copy = Allocation();
+  EXPECT_TRUE(copy.empty());
+  EXPECT_FALSE(copy.has_rate(10));
+  EXPECT_EQ(copy.total_rate(), 0.0);
+  EXPECT_EQ(alloc.rate(700000), 16.0);
 }
 
 TEST(Allocation, LinkUsageAndCapacityCheck) {

@@ -191,7 +191,7 @@ TEST(ScratchReuse, InterleavedPoliciesSettleToFlatPerCallAllocations) {
   const long long warm = count_allocations(round);
   for (int i = 0; i < 3; ++i) {
     const long long next = count_allocations(round);
-    // The returned Allocation still allocates its dense table per call;
+    // The returned Allocation still allocates its columns per call;
     // everything else must be reused, so the per-round count stays flat.
     EXPECT_LE(next, warm) << "round " << i;
   }
